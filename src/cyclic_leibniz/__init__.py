@@ -1,12 +1,13 @@
 """Complex cyclic Leibniz algebras: construction, canonical forms, isomorphism.
 
-The public surface mirrors the module layout:
+The package re-exports the names its callers use; everything else is
+imported from its module:
 
 * :mod:`cyclic_leibniz.scalars` -- tolerance policy, roots of unity,
   principal fractional powers, grid keys.
 * :mod:`cyclic_leibniz.algebra` -- the algebras themselves, their products
   and operators, and from-first-principles identity verification.
-* :mod:`cyclic_leibniz.classification` -- type detection, normalization,
+* :mod:`cyclic_leibniz.classification` -- type detection, reduction,
   orbit canonicalization, and the isomorphism decision.
 * :mod:`cyclic_leibniz.oracle` -- independent brute-force re-derivations of
   everything above, plus a seeded fuzz campaign comparing the two routes.
@@ -14,101 +15,34 @@ The public surface mirrors the module layout:
   file format and the command-line interface.
 """
 
-from .algebra import (
-    CyclicAlgebra,
-    Element,
-    LeibnizReport,
-    NotAGeneratorError,
-    build,
-    leibniz_check,
-)
+from .algebra import CyclicAlgebra, NotAGeneratorError, build
 from .classification import (
-    NILPOTENT,
     CanonicalForm,
-    Family,
-    GammaTuple,
-    TypeLabel,
-    detect_type,
     embed_law,
-    equivalent,
-    family_table,
     generator_law,
     isomorphic,
     normalize,
     orbit,
-    rescale,
 )
-from .documents import (
-    DocumentError,
-    algebra_document,
-    canonical_document,
-    load_algebra,
-    parse_algebra_document,
-)
-from .oracle import (
-    FuzzReport,
-    OracleReport,
-    explicit_iso_check,
-    fuzz,
-    iso_by_search,
-    law_by_linear_solve,
-    law_leading_index,
-    near_boundary,
-)
-from .scalars import (
-    DEFAULT_EPS,
-    approx_eq,
-    canonical_key,
-    format_complex,
-    parse_complex,
-    principal_root,
-    roots_of_unity,
-    snap,
-)
+from .documents import parse_algebra_document
+from .oracle import iso_by_search, law_by_linear_solve
+from .scalars import format_complex
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CyclicAlgebra",
-    "Element",
-    "LeibnizReport",
     "NotAGeneratorError",
     "build",
-    "leibniz_check",
-    "NILPOTENT",
     "CanonicalForm",
-    "Family",
-    "GammaTuple",
-    "TypeLabel",
-    "detect_type",
     "embed_law",
-    "equivalent",
-    "family_table",
     "generator_law",
     "isomorphic",
     "normalize",
     "orbit",
-    "rescale",
-    "DocumentError",
-    "algebra_document",
-    "canonical_document",
-    "load_algebra",
     "parse_algebra_document",
-    "FuzzReport",
-    "OracleReport",
-    "explicit_iso_check",
-    "fuzz",
     "iso_by_search",
     "law_by_linear_solve",
-    "law_leading_index",
-    "near_boundary",
-    "DEFAULT_EPS",
-    "approx_eq",
-    "canonical_key",
     "format_complex",
-    "parse_complex",
-    "principal_root",
-    "roots_of_unity",
-    "snap",
     "__version__",
 ]

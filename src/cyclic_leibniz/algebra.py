@@ -97,11 +97,6 @@ class CyclicAlgebra:
 
     # -- products ----------------------------------------------------------
 
-    def left_mult(self, x: Sequence[complex]) -> np.ndarray:
-        """The matrix of L_x = c_1 * L_a."""
-        x = self.element(x)
-        return x[0] * self.companion()
-
     def multiply(self, x: Sequence[complex], y: Sequence[complex]) -> Element:
         """The product x*y = c_1(x) * L_a(y)."""
         x = self.element(x)
@@ -116,11 +111,6 @@ class CyclicAlgebra:
             powers.append(self.multiply(x, powers[-1]))
         return powers
 
-    def is_generator(self, x: Sequence[complex]) -> bool:
-        """True iff the leading coordinate satisfies |c_1| > eps."""
-        x = self.element(x)
-        return abs(x[0]) > self.eps
-
     def multiplication_table(self) -> np.ndarray:
         """table[i, j, :] = coordinates of a^(i+1) * a^(j+1); shape (n, n, n)."""
         table = np.zeros((self.n, self.n, self.n), dtype=complex)
@@ -133,20 +123,12 @@ class CyclicAlgebra:
         """Check x(yz) = (xy)z + y(xz) on all n^3 basis triples."""
         return leibniz_check(self.multiplication_table(), self.eps)
 
-    def char_poly(self) -> tuple[complex, ...]:
-        """Monic coefficients of f(t) = t^n - alpha_n t^(n-1) - ... - alpha_2 t.
-
-        Read off the tail symbolically (a is a cyclic vector for L_a, so this
-        is the characteristic polynomial of the companion operator); returned
-        from the leading t^n coefficient down to the constant term.
-        """
-        coeffs = [1.0 + 0.0j]
-        coeffs.extend(-t for t in reversed(self.tail))
-        coeffs.append(0.0j)
-        return tuple(coeffs)
-
     def cayley_hamilton_residual(self) -> float:
-        """Max-norm of f(L_a) over the basis vectors; zero in exact arithmetic."""
+        """Max-norm of f(L_a), zero in exact arithmetic.
+
+        f(t) = t^n - alpha_n t^(n-1) - ... - alpha_2 t is the characteristic
+        polynomial of L_a (a is a cyclic vector for it).
+        """
         L = self.companion()
         f_of_L = np.linalg.matrix_power(L, self.n)
         for i in range(2, self.n + 1):

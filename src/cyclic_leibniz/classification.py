@@ -22,12 +22,17 @@ The classification pipeline, for an algebra with tail (alpha_2, ..., alpha_n):
    under the eps-grid key of each component; its entries are stored snapped
    to that grid so equal classes print and serialize identically.
 
-Isomorphism then reduces to equality of canonical forms.  The whole chain
-is cross-checked against explicit basis-map searches in the oracle module.
+Isomorphism is decided on the raw reduced tuples of step 2 (``reduce``):
+equal type labels, then ``equivalent`` within eps.  The snapped canonical
+form is a display and hash key only; snapping moves entries by up to
+eps/sqrt(2), so near a grid tie two isomorphic algebras can snap to
+different orbit members.  The whole chain is cross-checked against explicit
+basis-map searches in the oracle module.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .algebra import CyclicAlgebra, NotAGeneratorError, build
@@ -70,9 +75,9 @@ class CanonicalForm:
     """Isomorphism-class fingerprint: dimension, type label, canonical tuple.
 
     ``gamma`` is the lexicographically minimal orbit member with each entry
-    snapped to the eps grid, so two algebras are isomorphic exactly when
-    their canonical forms compare equal within tolerance (and, for snapped
-    forms computed at the same eps, usually exactly equal).
+    snapped to the eps grid.  It is a display and hash key only: isomorphic
+    algebras usually get equal forms, but near a grid tie they can get
+    different ones, so ``isomorphic`` decides on the raw reduced tuples.
     """
 
     n: int
@@ -192,43 +197,63 @@ def equivalent(g1: GammaTuple, g2: GammaTuple, eps: float = DEFAULT_EPS) -> bool
     return False
 
 
-def normalize(A: CyclicAlgebra) -> CanonicalForm:
-    """The canonical form of A: type label plus canonical orbit representative.
+def reduce(A: CyclicAlgebra) -> tuple[TypeLabel, GammaTuple]:
+    """The type label of A and its raw reduced tuple (gamma_{k+1}, ..., gamma_n).
 
     The reducing generator is x = c_1 a with c_1 = alpha_k^(1/(k-n-1)),
-    realized as ``principal_root(alpha_k, -1, n-k+1)``; the branch ambiguity
-    (a factor that is an (n-k+1)-th root of unity) is exactly the orbit
-    action, so the subsequent orbit minimization makes the result
-    branch-independent.
+    realized as ``principal_root(alpha_k, -1, n-k+1)``.  The branch
+    ambiguity (a factor that is an (n-k+1)-th root of unity) is exactly the
+    orbit action, so the tuple is defined up to ``rescale``.  Nilpotent
+    algebras reduce to the empty tuple.  Raises ValueError when the tail is
+    too extreme for the reduction to stay in floating-point range.
     """
     label = detect_type(A)
     if label.is_nilpotent:
-        return CanonicalForm(A.n, label, ())
+        return label, ()
     k = label.k
     m = A.n - k + 1
     alpha_k = A.tail[k - 2]
-    c1 = principal_root(alpha_k, -1, m)
-    lead = c1**m * alpha_k
+    try:
+        c1 = principal_root(alpha_k, -1, m)
+        lead = c1**m * alpha_k
+        raw = tuple(c1 ** (m - i) * A.tail[k - 2 + i] for i in range(1, m))
+    except OverflowError:
+        raise ValueError(
+            f"alpha_{k} = {format_complex(alpha_k)} is out of range: "
+            "its reducing generator overflows"
+        ) from None
     # 1e-12 floor: the check must survive eps set below machine rounding.
-    assert abs(lead - 1.0) <= max(A.eps, 1e-12), f"normalization drift: {lead}"
-    raw = tuple(c1 ** (m - i) * A.tail[k - 2 + i] for i in range(1, A.n - k + 1))
+    if not abs(lead - 1.0) <= max(A.eps, 1e-12):
+        raise ValueError(f"normalization drift: leading coefficient {format_complex(lead)}")
+    for j, g in enumerate(raw, start=k + 1):
+        if not cmath.isfinite(g):
+            raise ValueError(f"reduced entry gamma_{j} overflows")
+    return label, raw
+
+
+def normalize(A: CyclicAlgebra) -> CanonicalForm:
+    """The canonical form of A: type label plus snapped canonical orbit member.
+
+    Minimizing over the orbit makes the result independent of the branch
+    ``reduce`` picks for the reducing generator.
+    """
+    label, raw = reduce(A)
     representative = orbit(raw, A.eps)[0]
     return CanonicalForm(A.n, label, tuple(snap(g, A.eps) for g in representative))
 
 
 def isomorphic(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
-    """Decide isomorphism by comparing canonical forms.
+    """Decide isomorphism: equal type labels and ``equivalent`` raw reduced tuples.
 
-    Equivalent to testing ``equivalent()`` on the raw reduced tuples; the
-    oracle module re-derives the same answer by explicit generator search.
+    Decided within max(A.eps, B.eps) on the output of ``reduce``, never on
+    the snapped canonical forms; the oracle module re-derives the same
+    answer by explicit generator search.
     """
     if A.n != B.n:
         return False
-    fa, fb = normalize(A), normalize(B)
-    if fa.label != fb.label:
-        return False
-    eps = max(A.eps, B.eps)
-    return all(approx_eq(a, b, eps) for a, b in zip(fa.gamma, fb.gamma))
+    label_a, raw_a = reduce(A)
+    label_b, raw_b = reduce(B)
+    return label_a == label_b and equivalent(raw_a, raw_b, max(A.eps, B.eps))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Subcommands: classify, iso, orbit, mul, verify, table, fuzz.  Exit codes
 follow one contract everywhere: 0 for success or an affirmative verdict,
-1 for a negative verdict, 2 for usage or parse errors.  Output is purely a
+1 for a negative verdict or a failed verification (an oracle disagreement
+included), 2 for usage or parse errors.  Output is purely a
 function of the inputs and flags (no timestamps), so identical invocations
 produce byte-identical output; the effective tolerance is echoed in every
 header.
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 
+from .algebra import NotAGeneratorError
 from .classification import family_table, isomorphic, normalize, orbit
 from .documents import DocumentError, load_algebra
 from .oracle import fuzz, iso_by_search
@@ -77,18 +79,22 @@ def cmd_iso(args) -> int:
     }
     agreement = None
     if args.check:
-        searched = iso_by_search(A, B)
+        try:
+            searched = iso_by_search(A, B)
+        except NotAGeneratorError as exc:
+            searched = None
+            lines.append(f"search oracle: FAILED ({exc})")
+            payload["oracle_error"] = str(exc)
+        else:
+            lines.append(
+                "search oracle: agrees" if searched == verdict
+                else f"search oracle: DISAGREES (search says {searched})"
+            )
         agreement = searched == verdict
-        lines.append(
-            "search oracle: agrees" if agreement
-            else f"search oracle: DISAGREES (search says {searched})"
-        )
         payload["oracle_agrees"] = agreement
         payload["oracle_isomorphic"] = searched
     _emit(args, lines, payload)
-    if agreement is False:
-        return 2
-    return 0 if verdict else 1
+    return 0 if verdict and agreement is not False else 1
 
 
 def cmd_orbit(args) -> int:

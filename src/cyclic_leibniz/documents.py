@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Any
 
 from .algebra import CyclicAlgebra, build
-from .classification import CanonicalForm
 from .scalars import DEFAULT_EPS
 
 
@@ -80,22 +79,3 @@ def load_algebra(path: str | Path, eps_override: float | None = None) -> CyclicA
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     return parse_algebra_document(data, eps_override)
 
-
-def algebra_document(A: CyclicAlgebra) -> dict:
-    """The document dict describing A (round-trips through parse)."""
-    return {
-        "dimension": A.n,
-        "tail": [[t.real, t.imag] for t in A.tail],
-        "tolerance": A.eps,
-    }
-
-
-def canonical_document(form: CanonicalForm) -> dict:
-    """Document for a canonical form's representative algebra.
-
-    The tail carries zeros before the type index, a leading 1 at it, and the
-    canonical tuple after it; re-classifying the document reproduces the
-    identical canonical form.
-    """
-    A = form.as_algebra()
-    return {"dimension": A.n, "tail": [[t.real, t.imag] for t in A.tail]}

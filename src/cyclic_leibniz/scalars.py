@@ -54,8 +54,14 @@ def canonical_key(x: complex, eps: float = DEFAULT_EPS) -> tuple[int, int]:
 
     Lexicographic order on the key is the tie-break used everywhere a
     deterministic representative of an approx-equality class is needed.
+    Raises ValueError when x / eps overflows.
     """
-    return (round(x.real / eps), round(x.imag / eps))
+    try:
+        return (round(x.real / eps), round(x.imag / eps))
+    except OverflowError:
+        raise ValueError(
+            f"{format_complex(x)} is out of range of the eps={eps:g} grid"
+        ) from None
 
 
 def snap(x: complex, eps: float = DEFAULT_EPS) -> complex:

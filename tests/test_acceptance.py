@@ -15,20 +15,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cyclic_leibniz import (
-    build,
+from cyclic_leibniz.algebra import build
+from cyclic_leibniz.classification import (
     detect_type,
     embed_law,
     generator_law,
-    iso_by_search,
     isomorphic,
-    law_by_linear_solve,
-    law_leading_index,
     normalize,
     orbit,
     rescale,
-    roots_of_unity,
 )
+from cyclic_leibniz.oracle import iso_by_search, law_by_linear_solve, law_leading_index
+from cyclic_leibniz.scalars import roots_of_unity
 from cyclic_leibniz.cli import main
 from helpers import random_typed_tail
 

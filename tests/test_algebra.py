@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cyclic_leibniz import build, leibniz_check
+from cyclic_leibniz.algebra import build, leibniz_check
 from helpers import random_tail
 
 
@@ -39,18 +39,6 @@ class TestCompanion:
     def test_structure(self):
         L = build(3, [1, 2]).companion()
         assert_array_equal(L, [[0, 0, 0], [1, 0, 1], [0, 1, 2]])
-
-    def test_left_mult_of_generator_is_companion(self):
-        A = build(4, [1, 2, 3])
-        assert_array_equal(A.left_mult(A.generator()), A.companion())
-
-    def test_left_mult_of_square_is_zero(self):
-        A = build(4, [1, 2, 3])
-        assert_array_equal(A.left_mult(A.basis_element(2)), np.zeros((4, 4)))
-
-    def test_left_mult_scales_with_leading_coordinate(self):
-        A = build(2, [5])
-        assert_array_equal(A.left_mult([3, 5]), 3 * A.companion())
 
 
 class TestMultiply:
@@ -114,14 +102,6 @@ class TestPowerBasis:
         assert_allclose(powers[1], [0, 4])
 
 
-class TestIsGenerator:
-    def test_examples(self):
-        A = build(4, [1, 0, 2])
-        assert A.is_generator(A.generator())
-        assert not A.is_generator(A.basis_element(2))
-        assert A.is_generator(A.generator() + 7 * A.basis_element(4))
-
-
 class TestVerifyLeibniz:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_built_algebras_pass(self, n):
@@ -149,21 +129,6 @@ class TestVerifyLeibniz:
     def test_table_shape_checked(self):
         with pytest.raises(ValueError):
             leibniz_check(np.zeros((2, 2)))
-
-
-class TestCharPoly:
-    def test_read_off(self):
-        assert build(3, [1, 2]).char_poly() == (1, -2, -1, 0)
-
-    def test_nilpotent(self):
-        assert build(4, [0, 0, 0]).char_poly() == (1, 0, 0, 0, 0)
-
-    def test_two_dim(self):
-        alpha = 1.5 + 2j
-        assert build(2, [alpha]).char_poly() == (1, -alpha, 0)
-
-    def test_dimension_one(self):
-        assert build(1, []).char_poly() == (1, 0)
 
 
 class TestCayleyHamilton:

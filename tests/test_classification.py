@@ -4,26 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from cyclic_leibniz import (
+from cyclic_leibniz.algebra import NotAGeneratorError, build
+from cyclic_leibniz.classification import (
     NILPOTENT,
     CanonicalForm,
-    NotAGeneratorError,
     TypeLabel,
-    approx_eq,
-    build,
-    canonical_key,
     detect_type,
     embed_law,
     equivalent,
     family_table,
     generator_law,
     isomorphic,
-    iso_by_search,
-    law_by_linear_solve,
     normalize,
     orbit,
+    reduce,
     rescale,
 )
+from cyclic_leibniz.oracle import iso_by_search, law_by_linear_solve
+from cyclic_leibniz.scalars import approx_eq, canonical_key
 from helpers import random_typed_tail
 
 
@@ -202,6 +200,9 @@ class TestNormalize:
     def test_hand_worked_example(self):
         # alpha = (4, 2): c1 = 4^(-1/2) = 1/2, raw gamma_3 = (1/2)*2 = 1,
         # orbit {1, -1}, grid-key minimum -1
+        label, raw = reduce(build(3, [4, 2]))
+        assert label == TypeLabel(2)
+        assert len(raw) == 1 and approx_eq(raw[0], 1, 1e-15)
         form = normalize(build(3, [4, 2]))
         assert form.label == TypeLabel(2)
         assert len(form.gamma) == 1
@@ -216,6 +217,23 @@ class TestNormalize:
     def test_k_equals_n_has_empty_tuple(self):
         form = normalize(build(4, [0, 0, 7 - 2j]))
         assert form.label == TypeLabel(4) and form.gamma == ()
+
+    @pytest.mark.parametrize(
+        "n, tail, eps",
+        [(3, [1, 1e300], 1e-9), (3, [4, 2], 1e-320), (3, [1e-315, 1], 1e-320)],
+    )
+    def test_out_of_range_tail_raises_value_error(self, n, tail, eps):
+        with pytest.raises(ValueError, match="out of range"):
+            normalize(build(n, tail, eps))
+
+    def test_drift_check_is_not_an_assert(self, monkeypatch):
+        # a reducing generator that fails to normalize alpha_k must be caught
+        # by a check that survives python -O
+        monkeypatch.setattr(
+            "cyclic_leibniz.classification.principal_root", lambda x, p, q: 1.5
+        )
+        with pytest.raises(ValueError, match="drift"):
+            reduce(build(3, [4, 2]))
 
     def test_idempotent_on_canonical_algebra(self):
         form = normalize(build(3, [1, -1]))
@@ -306,6 +324,22 @@ class TestIsomorphic:
                 assert not isomorphic(A, B)
                 continue
             assert isomorphic(A, B) == equivalent(fa.gamma, fb.gamma, 1e-8)
+
+    def test_near_grid_tie_matches_raw_tuple_equivalence(self):
+        # n = 4, tail (1, g1, 0) with g1 within 3e-9 rad of the real axis: two
+        # cube-root orbit members tie on their real grid key, so a partner
+        # perturbed by at most 0.64e-9 can snap to the other member
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            r = 0.5 * 4 ** rng.random()
+            theta = rng.uniform(-3e-9, 3e-9) + math.pi * int(rng.integers(0, 2))
+            g1 = r * cmath.exp(1j * theta)
+            delta = 0.64e-9 * rng.random() * cmath.exp(2j * math.pi * rng.random())
+            A = build(4, [1, g1, 0])
+            B = build(4, [1, g1 + delta, 0])
+            (label_a, raw_a), (label_b, raw_b) = reduce(A), reduce(B)
+            expected = label_a == label_b and equivalent(raw_a, raw_b, A.eps)
+            assert isomorphic(A, B) == expected == iso_by_search(A, B)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(37)

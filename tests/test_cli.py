@@ -114,6 +114,24 @@ class TestIso:
         assert payload["isomorphic"] is True
         assert payload["oracle_agrees"] is True
 
+    def test_oracle_failures_exit_one(self, tmp_path, capsys):
+        # n = 12 and 16 pairs where the oracle's scale-sensitive rank test
+        # misjudges (a disagreement, then NotAGeneratorError): verification
+        # outcomes exit 1, never the usage-error code 2
+        pairs = [
+            (12, [0] * 10 + [0.042758573916107115 + 0.1484776781705134j],
+             [0] * 9 + [0.29175604000885863 + 2.434518873682391j,
+                        -0.026769032612109365 - 0.12068656863673177j]),
+            (16, [0] * 14 + [0.1], [0] * 14 + [0.2]),
+        ]
+        for n, tail_a, tail_b in pairs:
+            a = write_doc(tmp_path, "a.json", n, tail_a)
+            b = write_doc(tmp_path, "b.json", n, tail_b)
+            code, out, err = run(capsys, "iso", a, b, "--check")
+            assert err == ""
+            ok = "verdict: isomorphic" in out and "search oracle: agrees" in out
+            assert code == (0 if ok else 1)
+
 
 class TestOrbit:
     def test_plus_minus_members(self, tmp_path, capsys):
@@ -242,6 +260,14 @@ class TestFuzz:
         assert code == 0
         assert "verdict:               pass" in out
 
+    def test_oracle_exception_exits_one(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--trials", "50", "--dim-max", "16",
+                             "--seed", "0")
+        assert err == ""
+        assert code == (0 if "verdict:               pass" in out else 1)
+        if code:
+            assert "reproduce with:" in out
+
     def test_zero_trials(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--trials", "0")
         assert code == 0
@@ -278,6 +304,13 @@ class TestGlobalFlags:
         path = write_doc(tmp_path, "a.json", 2, [1])
         code, _, err = run(capsys, "classify", path, "--tolerance", "-1")
         assert code == 2
+
+    def test_tolerance_below_grid_range_is_an_error_message(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "a.json", 3, [4, 2])
+        code, out, err = run(capsys, "classify", path, "--tolerance", "1e-320")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "out of range" in err
 
     def test_tolerance_echoed_in_header(self, tmp_path, capsys):
         path = write_doc(tmp_path, "a.json", 2, [1])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclic_leibniz import (
+from cyclic_leibniz.scalars import (
     approx_eq,
     canonical_key,
     format_complex,
