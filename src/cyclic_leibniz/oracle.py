@@ -126,15 +126,17 @@ def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
     Every generator's law depends only on its leading coordinate, and scalar
     multiples of a realize every leading coordinate, so candidates of the
     form (c1 * omega) * a are exhaustive once c1 normalizes A's leading law
-    coefficient and omega runs over the relevant roots of unity.
+    coefficient and omega runs over the relevant roots of unity.  That law
+    has its algebra's leading tail index, so algebras whose leading indices
+    differ are not isomorphic.
     """
     if A.n != B.n:
         return False
     kA = _leading_tail_index(A)
     kB = _leading_tail_index(B)
-    if kA is None or kB is None:
-        if kA is not None or kB is not None:
-            return False
+    if kA != kB:
+        return False
+    if kA is None:
         # Two nilpotent algebras: the basis map a^i -> b^i must check out.
         return explicit_iso_check(A, B, A.generator(), B.generator()).passed
     cA = principal_root(A.tail[kA - 2], -1, A.n - kA + 1)

@@ -77,9 +77,12 @@ def format_complex(z: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse a complex literal, accepting both 'i' and 'j' as the imaginary unit."""
+    """Parse a finite complex literal; both i and j mark the imaginary unit."""
     cleaned = text.strip().replace("i", "j").replace("J", "j")
     try:
-        return complex(cleaned)
+        z = complex(cleaned)
     except ValueError:
         raise ValueError(f"not a complex number: {text!r}") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"not a finite complex number: {text!r}")
+    return z

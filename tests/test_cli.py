@@ -20,6 +20,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def record_text(record) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
 class TestClassify:
     def test_type_n_law(self, tmp_path, capsys):
         path = write_doc(tmp_path, "a.json", 3, [0, 1])
@@ -115,9 +119,11 @@ class TestIso:
         assert payload["oracle_agrees"] is True
 
     def test_oracle_failures_exit_one(self, tmp_path, capsys):
-        # n = 12 and 16 pairs where the oracle's scale-sensitive rank test
-        # misjudges (a disagreement, then NotAGeneratorError): verification
-        # outcomes exit 1, never the usage-error code 2
+        # n = 12 and 16 pairs at scales where the oracle's rank test is
+        # unreliable: type 12 against type 11 (settled by the leading-index
+        # check), then a type-16 pair on which search raises
+        # NotAGeneratorError; verification outcomes exit 1, never the
+        # usage-error code 2
         pairs = [
             (12, [0] * 10 + [0.042758573916107115 + 0.1484776781705134j],
              [0] * 9 + [0.29175604000885863 + 2.434518873682391j,
@@ -192,6 +198,15 @@ class TestMul:
         path = write_doc(tmp_path, "a.json", 3, [1, 2])
         code, _, err = run(capsys, "mul", path, "1,0", "1,0,0")
         assert code == 2
+
+    @pytest.mark.parametrize("x", ["nan,0,0", "1e400,0,0"])
+    def test_non_finite_coordinates_exit_two(self, tmp_path, capsys, x):
+        # a non-finite coordinate would print NaN or Infinity, which are not JSON
+        path = write_doc(tmp_path, "a.json", 3, [1, 2])
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, "mul", path, x, "1,0,0", *flags)
+            assert (code, out) == (2, "")
+            assert err == f"error: not a finite complex number: {x.split(',')[0]!r}\n"
 
 
 class TestVerify:
@@ -283,6 +298,159 @@ class TestFuzz:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert payload["trials"] == 25
+
+
+EXACT_DOCS = {
+    "type2.json": (3, [4, 2]),
+    "flip.json": (3, [1, -1]),
+    "other.json": (3, [1, 2]),
+    "cube.json": (4, [1, 1, 1]),
+    "nil.json": (3, [0, 0]),
+    "two.json": (2, [1]),
+    # not integral: c-h on it rounds once, to a residual of 2^-49
+    "inexact.json": (3, [3.3, 1.7]),
+}
+CUBE_GAMMA = [[-0.5, -0.866025404], [-0.5, 0.866025404]]
+
+# (argv, exit code, human stdout, --json record); integer tails, so every
+# printed residual but the one FAIL case is exactly zero
+EXACT_CASES = {
+    "classify": (
+        ["classify", "type2.json"], 0,
+        "tolerance: 1e-09\ndimension: 3\nclass: type 2\n"
+        "law: a·a^3 = a^2 + (-1)·a^3\ngamma: (-1)\n",
+        {"class": "type 2", "dimension": 3, "gamma": [[-1.0, 0.0]], "k": 2,
+         "law": "a·a^3 = a^2 + (-1)·a^3", "tolerance": 1e-09},
+    ),
+    "classify-nilpotent": (
+        ["classify", "nil.json"], 0,
+        "tolerance: 1e-09\ndimension: 3\nclass: nilpotent\n"
+        "law: a·a^3 = 0\ngamma: ()\n",
+        {"class": "nilpotent", "dimension": 3, "gamma": [], "k": None,
+         "law": "a·a^3 = 0", "tolerance": 1e-09},
+    ),
+    "iso": (
+        ["iso", "type2.json", "flip.json"], 0,
+        "tolerance: 1e-09\nverdict: isomorphic\n",
+        {"isomorphic": True, "tolerance": 1e-09, "verdict": "isomorphic"},
+    ),
+    "iso-not": (
+        ["iso", "type2.json", "other.json"], 1,
+        "tolerance: 1e-09\nverdict: not isomorphic\n",
+        {"isomorphic": False, "tolerance": 1e-09, "verdict": "not isomorphic"},
+    ),
+    "iso-dimension-mismatch": (
+        ["iso", "two.json", "type2.json"], 1,
+        "tolerance: 1e-09\nverdict: not isomorphic (dimension mismatch: 2 vs 3)\n",
+        {"isomorphic": False, "tolerance": 1e-09,
+         "verdict": "not isomorphic (dimension mismatch: 2 vs 3)"},
+    ),
+    "iso-check": (
+        ["iso", "type2.json", "flip.json", "--check"], 0,
+        "tolerance: 1e-09\nverdict: isomorphic\nsearch oracle: agrees\n",
+        {"isomorphic": True, "oracle_agrees": True, "oracle_isomorphic": True,
+         "tolerance": 1e-09, "verdict": "isomorphic"},
+    ),
+    "iso-check-not": (
+        ["iso", "type2.json", "other.json", "--check"], 1,
+        "tolerance: 1e-09\nverdict: not isomorphic\nsearch oracle: agrees\n",
+        {"isomorphic": False, "oracle_agrees": True, "oracle_isomorphic": False,
+         "tolerance": 1e-09, "verdict": "not isomorphic"},
+    ),
+    "orbit": (
+        ["orbit", "cube.json"], 0,
+        "tolerance: 1e-09\ndimension: 4\nclass: type 2\n"
+        "orbit members: 3 (group order 3)\n"
+        "  (-0.5-0.866025404i, -0.5+0.866025404i)  [canonical]\n"
+        "  (-0.5+0.866025404i, -0.5-0.866025404i)\n"
+        "  (1, 1)\n",
+        {"canonical": CUBE_GAMMA, "dimension": 4, "group_order": 3, "k": 2,
+         "members": [CUBE_GAMMA, CUBE_GAMMA[::-1], [[1.0, 0.0], [1.0, 0.0]]],
+         "tolerance": 1e-09},
+    ),
+    "orbit-nilpotent": (
+        ["orbit", "nil.json"], 1,
+        "tolerance: 1e-09\norbit undefined for nilpotent algebra\n",
+        {"error": "orbit undefined for nilpotent algebra", "tolerance": 1e-09},
+    ),
+    "mul": (
+        ["mul", "type2.json", "1,0,0", "0,2i,1"], 0,
+        "tolerance: 1e-09\nproduct: (0, 4, 2+2i)\n",
+        {"product": [[0.0, 0.0], [4.0, 0.0], [2.0, 2.0]], "tolerance": 1e-09},
+    ),
+    "verify": (
+        ["verify", "cube.json"], 0,
+        "tolerance: 1e-09\ndimension: 4\nleibniz: pass (max residual 0.000e+00)\n"
+        "cayley-hamilton: pass (residual 0.000e+00)\n",
+        {"cayley_passed": True, "cayley_residual": 0.0, "dimension": 4,
+         "leibniz_passed": True, "leibniz_residual": 0.0, "tolerance": 1e-09},
+    ),
+    "verify-fail": (
+        ["verify", "inexact.json", "--tolerance", "1e-15"], 1,
+        "tolerance: 1e-15\ndimension: 3\nleibniz: pass (max residual 0.000e+00)\n"
+        "cayley-hamilton: FAIL (residual 1.776e-15)\n",
+        {"cayley_passed": False, "cayley_residual": 2.0 ** -49, "dimension": 3,
+         "leibniz_passed": True, "leibniz_residual": 0.0, "tolerance": 1e-15},
+    ),
+    "table": (
+        ["table", "3"], 0,
+        "tolerance: 1e-09\nclassification families for dimension 3:\n"
+        "  1. nilpotent: a·a^3 = 0\n"
+        "  2. type 3: a·a^3 = a^3\n"
+        "  3. type 2: a·a^3 = a^2 + γ3·a^3  [1 parameter, orbit group order 2]\n",
+        {"dimension": 3, "tolerance": 1e-09, "families": [
+            {"k": None, "law": "a·a^3 = 0", "orbit_order": None, "parameters": 0},
+            {"k": 3, "law": "a·a^3 = a^3", "orbit_order": 1, "parameters": 0},
+            {"k": 2, "law": "a·a^3 = a^2 + γ3·a^3", "orbit_order": 2,
+             "parameters": 1},
+        ]},
+    ),
+}
+
+
+class TestExactOutput:
+    """Full stdout and exit code of each subcommand, human and --json."""
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_output(self, tmp_path, capsys, case, as_json):
+        argv, expected_code, text, record = EXACT_CASES[case]
+        for name, (n, tail) in EXACT_DOCS.items():
+            write_doc(tmp_path, name, n, tail)
+        argv = [str(tmp_path / a) if a in EXACT_DOCS else a for a in argv]
+        code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+        assert (code, err) == (expected_code, "")
+        assert out == (record_text(record) if as_json else text)
+
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "60", "--dim-max", "4", "--seed", "42"],
+        ["--trials", "50", "--dim-max", "16", "--seed", "0"],
+    ])
+    def test_fuzz_human_and_json_agree(self, capsys, argv):
+        code, out, _ = run(capsys, "fuzz", *argv)
+        json_code, json_out, _ = run(capsys, "fuzz", *argv, "--json")
+        record = json.loads(json_out)
+        assert code == json_code == (0 if record["passed"] else 1)
+        lines = out.splitlines()
+        assert lines[0] == f"tolerance: {record['tolerance']:g}"
+        fields = dict(line.split(":", 1) for line in lines[2:10])
+        assert {key: value.strip() for key, value in fields.items()} == {
+            "trials requested": str(record["trials"]),
+            "trials executed": str(record["executed"]),
+            "skipped near boundary": str(record["skipped_near_boundary"]),
+            "law agreements": f"{record['law_checks']} "
+                              f"(max deviation {record['max_law_deviation']:.3e})",
+            "iso agreements": str(record["iso_checks"]),
+            "max leibniz residual": f"{record['max_leibniz_residual']:.3e}",
+            "max cayley residual": f"{record['max_cayley_residual']:.3e}",
+            "verdict": "pass" if record["passed"] else "FAIL",
+        }
+        failures = [line[len("failure: "):] for line in lines
+                    if line.startswith("failure: ")]
+        assert failures == record["failures"]
+        assert any(line.startswith("reproduce with:") for line in lines) == (
+            not record["passed"]
+        )
 
 
 class TestEntryPoint:

@@ -129,6 +129,29 @@ class TestIsoBySearch:
     def test_dimension_mismatch_is_false(self):
         assert not iso_by_search(build(2, [1]), build(3, [1, 0]))
 
+    def test_different_leading_index_is_false_at_large_scale(self):
+        # type 12 against type 11: the power bases are badly conditioned at
+        # this scale, so a map check alone can pass
+        A = build(12, [0] * 10 + [0.042758573916107115 + 0.1484776781705134j])
+        B = build(12, [0] * 9 + [0.29175604000885863 + 2.434518873682391j,
+                                 -0.026769032612109365 - 0.12068656863673177j])
+        assert not iso_by_search(A, B)
+        assert not iso_by_search(B, A)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_different_type_pairs_are_false_without_raising(self, n):
+        rng = np.random.default_rng(n)
+        pairs = 0
+        while pairs < 100:
+            tail_a = random_typed_tail(rng, n, nilpotent_fraction=0.1)
+            tail_b = random_typed_tail(rng, n, nilpotent_fraction=0.1)
+            lead_a = next((i for i, t in enumerate(tail_a) if t != 0), None)
+            lead_b = next((i for i, t in enumerate(tail_b) if t != 0), None)
+            if lead_a == lead_b:
+                continue
+            pairs += 1
+            assert not iso_by_search(build(n, tail_a), build(n, tail_b))
+
     def test_agrees_with_canonical_route(self):
         rng = np.random.default_rng(5)
         for trial in range(150):

@@ -132,8 +132,9 @@ class TestFormatting:
         assert parse_complex("1+2i") == 1 + 2j
         assert parse_complex("3j") == 3j
         assert parse_complex(" -4 ") == -4
-        with pytest.raises(ValueError):
-            parse_complex("wat")
+        for text in ["wat", "nan", "1e400", "-1e400j"]:
+            with pytest.raises(ValueError):
+                parse_complex(text)
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
