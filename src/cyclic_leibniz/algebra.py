@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import DEFAULT_EPS
+from .scalars import DEFAULT_EPS, checked_tolerance
 
 Element = np.ndarray
 
@@ -51,20 +51,20 @@ class CyclicAlgebra:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, np.integer):
-            object.__setattr__(self, "n", int(self.n))
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
-        tail = tuple(complex(t) for t in self.tail)
+        try:
+            tail = tuple(complex(t) for t in self.tail)
+        except OverflowError:
+            raise ValueError("tail entries must be in floating-point range") from None
         if len(tail) != self.n - 1:
             raise ValueError(
                 f"tail must have exactly n-1 = {self.n - 1} entries, got {len(tail)}"
             )
         if any(not cmath.isfinite(t) for t in tail):
             raise ValueError("tail entries must be finite")
-        if not (self.eps > 0 and cmath.isfinite(self.eps)):
-            raise ValueError(f"eps must be a positive finite number, got {self.eps!r}")
         object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "eps", checked_tolerance(self.eps))
 
     # -- basic structure ---------------------------------------------------
 
@@ -175,4 +175,4 @@ def build(
     eps: float = DEFAULT_EPS,
 ) -> CyclicAlgebra:
     """Construct the cyclic Leibniz algebra with a*a^n = sum(tail[i-2] * a^i)."""
-    return CyclicAlgebra(n=n, tail=tuple(complex(t) for t in tail), eps=eps)
+    return CyclicAlgebra(n=n, tail=tail, eps=eps)

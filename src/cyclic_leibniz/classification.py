@@ -105,13 +105,8 @@ class CanonicalForm:
 
     def as_algebra(self, eps: float = DEFAULT_EPS) -> CyclicAlgebra:
         """Rebuild the representative algebra: zeros, then 1 at index k, then gamma."""
-        tail = [0.0j] * (self.n - 1)
-        if not self.label.is_nilpotent:
-            k = self.label.k
-            tail[k - 2] = 1.0 + 0.0j
-            for i, g in enumerate(self.gamma, start=1):
-                tail[k - 2 + i] = g
-        return build(self.n, tail, eps)
+        law = () if self.label.is_nilpotent else (1.0 + 0.0j, *self.gamma)
+        return build(self.n, embed_law(law, self.n), eps)
 
 
 def detect_type(A: CyclicAlgebra) -> TypeLabel:
@@ -269,18 +264,14 @@ class Family:
 def family_table(n: int) -> list[Family]:
     """The classification families in dimension n.
 
-    One nilpotent family, the parameter-free family with law a·a^n = a^n,
-    and for each k = n-1 down to 2 an (n-k)-parameter family whose tuples
-    are identified up to the weighted action of the (n-k+1)-th roots of
-    unity.
+    One nilpotent family, then for each k = n down to 2 an (n-k)-parameter
+    family whose tuples are identified up to the weighted action of the
+    (n-k+1)-th roots of unity; k = n is the parameter-free law a·a^n = a^n.
     """
     if not 2 <= n <= 16:
         raise ValueError(f"dimension must be in 2..16, got {n}")
-    families = [
-        Family(NILPOTENT, f"a·a^{n} = 0", 0, None),
-        Family(TypeLabel(n), f"a·a^{n} = a^{n}", 0, 1),
-    ]
-    for k in range(n - 1, 1, -1):
+    families = [Family(NILPOTENT, f"a·a^{n} = 0", 0, None)]
+    for k in range(n, 1, -1):
         terms = [f"a^{k}"] + [f"γ{j}·a^{j}" for j in range(k + 1, n + 1)]
         families.append(
             Family(TypeLabel(k), f"a·a^{n} = " + " + ".join(terms), n - k, n - k + 1)

@@ -17,11 +17,13 @@ import json
 import sys
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from .algebra import NotAGeneratorError
 from .classification import TypeLabel, family_table, isomorphic, normalize, orbit
-from .documents import DocumentError, load_algebra
+from .documents import load_algebra
 from .oracle import FuzzReport, fuzz, iso_by_search
-from .scalars import DEFAULT_EPS, format_complex, parse_complex, snap
+from .scalars import DEFAULT_EPS, checked_tolerance, format_complex, parse_complex, snap
 
 
 def _pairs(values) -> list[list[float]]:
@@ -122,9 +124,13 @@ def orbit_lines(r: dict, args) -> list[str]:
 
 def cmd_mul(args) -> tuple[int, float, dict]:
     A = load_algebra(args.path, args.tolerance)
-    x = A.element([parse_complex(c) for c in args.x.split(",")])
-    y = A.element([parse_complex(c) for c in args.y.split(",")])
-    return 0, A.eps, {"product": _pairs(A.multiply(x, y))}
+    x = [parse_complex(c) for c in args.x.split(",")]
+    y = [parse_complex(c) for c in args.y.split(",")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = A.multiply(x, y)
+    if not np.isfinite(product).all():
+        raise ValueError("product is out of floating-point range")
+    return 0, A.eps, {"product": _pairs(product)}
 
 
 def mul_lines(r: dict, args) -> list[str]:
@@ -133,8 +139,11 @@ def mul_lines(r: dict, args) -> list[str]:
 
 def cmd_verify(args) -> tuple[int, float, dict]:
     A = load_algebra(args.path, args.tolerance)
-    report = A.verify_leibniz()
-    cayley = A.cayley_hamilton_residual()
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = A.verify_leibniz()
+        cayley = A.cayley_hamilton_residual()
+    if not np.isfinite([report.max_residual, cayley]).all():
+        raise ValueError("verification residuals are out of floating-point range")
     record = {
         "dimension": A.n,
         "leibniz_passed": report.passed,
@@ -249,7 +258,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mul", parents=[common],
                        help="multiply two elements given by coordinates")
     p.add_argument("path")
-    p.add_argument("x", help="comma-separated coordinates of x, e.g. '1,0,2i'")
+    p.add_argument("x", help="comma-separated coordinates of x, e.g. '1,0,2i'; "
+                             "write -- before x if x or y starts with '-'")
     p.add_argument("y", help="comma-separated coordinates of y")
     p.set_defaults(func=cmd_mul, lines=mul_lines)
 
@@ -278,12 +288,12 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.tolerance is not None and not args.tolerance > 0:
-        print(f"error: tolerance must be positive, got {args.tolerance}", file=sys.stderr)
-        return 2
     try:
+        # table and fuzz --trials 0 build no algebra that would check the flag
+        if args.tolerance is not None:
+            checked_tolerance(args.tolerance)
         code, eps, record = args.func(args)
-    except (DocumentError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     record["tolerance"] = eps

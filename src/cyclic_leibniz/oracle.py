@@ -171,8 +171,8 @@ class FuzzReport:
     trials: int
     executed: int
     skipped_near_boundary: int
-    law_checks: int
-    iso_checks: int
+    law_checks: int  # trials whose law check recorded no failure
+    iso_checks: int  # trials whose iso check recorded no failure
     max_law_deviation: float
     max_leibniz_residual: float
     max_cayley_residual: float
@@ -263,8 +263,8 @@ def fuzz(
         c1 = _random_modulus(rng, 0.5, 2.0)
         x = 0.35 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         x[0] = c1
+        law_failures = len(failures)
         lam = law_by_linear_solve(A, x)
-        law_checks += 1
         if lam is None:
             failures.append(f"{describe()}: oracle rejected a genuine generator "
                             f"(c1={format_complex(c1)})")
@@ -281,6 +281,7 @@ def fuzz(
             if lead != expected_lead:
                 failures.append(f"{describe()}: solved law has leading index {lead}, "
                                 f"type detection says {expected_lead}")
+        law_checks += len(failures) == law_failures
 
         # Isomorphism agreement on a partner algebra.
         if t % 2 == 0:
@@ -289,7 +290,6 @@ def fuzz(
         else:
             partner_tail = _random_tail(rng, n, eps, adversarial=False)
         B = build(n, partner_tail, eps)
-        iso_checks += 1
         canonical = isomorphic(A, B)
         try:
             searched = iso_by_search(A, B)
@@ -299,6 +299,8 @@ def fuzz(
         if searched != canonical:
             failures.append(f"{describe(B)}: iso_by_search={searched} but "
                             f"canonical comparison says {canonical}")
+        else:
+            iso_checks += 1
 
     return FuzzReport(
         passed=not failures,

@@ -17,8 +17,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 DEFAULT_EPS = 1e-9
+
+
+def checked_tolerance(eps: float) -> float:
+    """eps as a float if positive and finite, else ValueError: the one tolerance rule."""
+    if not 0 < eps <= sys.float_info.max:
+        raise ValueError(f"tolerance must be positive and finite, got {eps!r}")
+    return float(eps)
 
 
 def approx_eq(x: complex, y: complex, eps: float = DEFAULT_EPS) -> bool:

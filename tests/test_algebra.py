@@ -34,6 +34,13 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(2, [1], eps=0.0)
 
+    def test_out_of_float_range_is_value_error(self):
+        # complex() and float() raise OverflowError on these integers
+        with pytest.raises(ValueError):
+            build(2, [10**400])
+        with pytest.raises(ValueError):
+            build(2, [1], eps=10**400)
+
 
 class TestCompanion:
     def test_structure(self):

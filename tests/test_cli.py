@@ -72,6 +72,19 @@ class TestClassify:
         code, _, err = run(capsys, "classify", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("field", ["tail", "tolerance"])
+    def test_huge_integer_document_exits_two(self, tmp_path, capsys, field):
+        # a 401-digit JSON integer overflows float conversion
+        huge = "1" + "0" * 400
+        doc = tmp_path / "huge.json"
+        doc.write_text(
+            '{"dimension": 2, "tail": [[%s, 0]]}' % huge if field == "tail"
+            else '{"dimension": 2, "tail": [[1, 0]], "tolerance": %s}' % huge
+        )
+        code, out, err = run(capsys, "classify", str(doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_doc(tmp_path, "a.json", 4, [0.5, -1.25, 2])
         _, first, _ = run(capsys, "classify", path)
@@ -208,6 +221,22 @@ class TestMul:
             assert (code, out) == (2, "")
             assert err == f"error: not a finite complex number: {x.split(',')[0]!r}\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_product_exits_two(self, tmp_path, capsys):
+        # finite inputs whose product overflows would print Infinity, not JSON
+        path = write_doc(tmp_path, "a.json", 3, [4, 2])
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, "mul", path, "1e200,0,0", "1e200,0,1e200", *flags)
+            assert (code, out) == (2, "")
+            assert err == "error: product is out of floating-point range\n"
+
+    def test_negative_coordinates_after_double_dash(self, tmp_path, capsys):
+        # without --, argparse reads -1,0,0 as an option
+        path = write_doc(tmp_path, "a.json", 3, [1, 2])
+        code, out, err = run(capsys, "mul", path, "--json", "--", "-1,0,0", "0,0,1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["product"] == [[0, 0], [-1, 0], [-2, 0]]
+
 
 class TestVerify:
     def test_valid_document_passes(self, tmp_path, capsys):
@@ -233,6 +262,16 @@ class TestVerify:
         assert code == 1
         assert "cayley-hamilton: FAIL" in out
         assert "residual" in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_residuals_exit_two(self, tmp_path, capsys):
+        # the products overflow, so the identities are never evaluated: the
+        # residuals would print NaN, which is neither a pass, a fail, nor JSON
+        path = write_doc(tmp_path, "a.json", 3, [1e300, 1e300])
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, "verify", path, *flags)
+            assert (code, out) == (2, "")
+            assert err == "error: verification residuals are out of floating-point range\n"
 
 
 class TestTable:
@@ -472,6 +511,13 @@ class TestGlobalFlags:
         path = write_doc(tmp_path, "a.json", 2, [1])
         code, _, err = run(capsys, "classify", path, "--tolerance", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["table", "2", "--json"], ["fuzz", "--trials", "0"]])
+    def test_infinite_tolerance_exits_two(self, capsys, argv):
+        # neither command builds an algebra that would check the flag
+        code, out, err = run(capsys, *argv, "--tolerance", "inf")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_tolerance_below_grid_range_is_an_error_message(self, tmp_path, capsys):
         path = write_doc(tmp_path, "a.json", 3, [4, 2])

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from cyclic_leibniz.algebra import build
+from cyclic_leibniz.algebra import CyclicAlgebra, build
 from cyclic_leibniz.classification import normalize
 from cyclic_leibniz.documents import DocumentError, load_algebra, parse_algebra_document
 from cyclic_leibniz.scalars import DEFAULT_EPS
@@ -43,6 +44,71 @@ def test_tolerance_priority():
 def test_invalid_documents_rejected(doc):
     with pytest.raises(DocumentError):
         parse_algebra_document(doc)
+
+
+HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dimension": 2, "tail": [[%s, 0]]}' % HUGE,
+        '{"dimension": 2, "tail": [[1, 0]], "tolerance": %s}' % HUGE,
+    ],
+    ids=["tail-entry", "tolerance"],
+)
+def test_huge_integers_rejected(text):
+    with pytest.raises(DocumentError):
+        parse_algebra_document(json.loads(text))
+
+
+# Tuples serialize as JSON lists; being immutable, they are never edited in place.
+MUTANTS = [
+    10**400, -(10**400), True, False, None, "1", (), (1, 0), ((1, 0),), {"re": 1},
+    json.loads("Infinity"), json.loads("-Infinity"), json.loads("NaN"),
+    0, -1e-9, 2.5,
+]
+
+
+def _mutate(rng, doc):
+    """One random corruption of a document (it may happen to stay valid)."""
+    where = rng.choice(["dimension", "tolerance", "tail", "entry", "pair", "length"])
+    tail = doc["tail"]
+    if where in ("dimension", "tolerance", "tail"):
+        doc[where] = rng.choice(MUTANTS)
+    elif not isinstance(tail, list) or not tail:
+        return
+    elif where == "entry":
+        pair = rng.choice(tail)
+        if isinstance(pair, list) and pair:
+            pair[rng.randrange(len(pair))] = rng.choice(MUTANTS)
+    elif where == "pair":
+        tail[rng.randrange(len(tail))] = rng.choice(MUTANTS)
+    elif rng.random() < 0.5:
+        tail.pop()
+    else:
+        tail.append([rng.uniform(-3, 3), 0.0])
+
+
+def test_mutated_documents_parse_or_raise_document_error():
+    rng = random.Random(20141)
+    outcomes = {"parsed": 0, "rejected": 0}
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        doc = {"dimension": n,
+               "tail": [[rng.uniform(-3, 3), rng.uniform(-3, 3)] for _ in range(n - 1)]}
+        if rng.random() < 0.5:
+            doc["tolerance"] = 10 ** rng.uniform(-12, -3)
+        for _ in range(rng.randint(0, 2)):
+            _mutate(rng, doc)
+        try:
+            A = parse_algebra_document(json.loads(json.dumps(doc)))
+        except DocumentError:
+            outcomes["rejected"] += 1
+        else:
+            assert isinstance(A, CyclicAlgebra)
+            outcomes["parsed"] += 1
+    assert min(outcomes.values()) >= 100
 
 
 def test_load_algebra_round_trip(tmp_path):

@@ -189,6 +189,15 @@ class TestFuzz:
         assert report.executed + report.skipped_near_boundary == 50
         assert all(f.startswith("trial ") for f in report.failures)
 
+    def test_agreement_counts_exclude_failed_checks(self, monkeypatch):
+        import cyclic_leibniz.oracle as oracle
+
+        monkeypatch.setattr(oracle, "iso_by_search", lambda A, B: not isomorphic(A, B))
+        monkeypatch.setattr(oracle, "law_by_linear_solve", lambda A, x: None)
+        report = fuzz(20, dim_max=4, seed=3)
+        assert report.executed > 0
+        assert (report.law_checks, report.iso_checks) == (0, 0)
+
     def test_zero_trials_vacuous(self):
         report = fuzz(0)
         assert report.passed

@@ -7,12 +7,24 @@ import pytest
 from cyclic_leibniz.scalars import (
     approx_eq,
     canonical_key,
+    checked_tolerance,
     format_complex,
     parse_complex,
     principal_root,
     roots_of_unity,
     snap,
 )
+
+
+class TestCheckedTolerance:
+    def test_positive_finite_is_returned_as_float(self):
+        assert checked_tolerance(1e-9) == 1e-9
+        assert type(checked_tolerance(1)) is float
+
+    @pytest.mark.parametrize("eps", [0, -1e-9, math.inf, math.nan, 10**400])
+    def test_rejected_with_value_error(self, eps):
+        with pytest.raises(ValueError):
+            checked_tolerance(eps)
 
 
 class TestApproxEq:
