@@ -27,7 +27,8 @@ from .scalars import DEFAULT_EPS, checked_tolerance, format_complex, parse_compl
 
 
 def _pairs(values) -> list[list[float]]:
-    return [[complex(v).real, complex(v).imag] for v in values]
+    # adding 0.0 turns -0.0 into 0.0, which JSON would otherwise print as -0.0
+    return [[complex(v).real + 0.0, complex(v).imag + 0.0] for v in values]
 
 
 def _tuple_str(pairs) -> str:

@@ -39,18 +39,25 @@ def parse_algebra_document(data: Any, eps_override: float | None = None) -> Cycl
         raise DocumentError(f"document is missing the {missing} field") from None
     if not isinstance(tail_data, list):
         raise DocumentError("tail must be a list of [re, im] number pairs")
+    tail = []
     for index, pair in enumerate(tail_data):
         if not (isinstance(pair, list) and len(pair) == 2 and all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
             raise DocumentError(f"tail entry {index} must be an [re, im] number pair")
+        try:
+            tail.append(complex(*pair))
+        except OverflowError:
+            raise DocumentError(
+                f"tail entry {index} is out of floating-point range"
+            ) from None
     eps = eps_override
     if eps is None:
         eps = data.get("tolerance", DEFAULT_EPS)
         if isinstance(eps, bool) or not isinstance(eps, (int, float)):
             raise DocumentError(f"tolerance must be a number, got {eps!r}")
     try:
-        return build(dimension, [complex(re, im) for re, im in tail_data], eps)
-    except (ValueError, OverflowError) as exc:
+        return build(dimension, tail, eps)
+    except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
 

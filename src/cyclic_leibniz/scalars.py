@@ -25,8 +25,14 @@ DEFAULT_EPS = 1e-9
 def checked_tolerance(eps: float) -> float:
     """eps as a float if positive and finite, else ValueError: the one tolerance rule."""
     if not 0 < eps <= sys.float_info.max:
-        raise ValueError(f"tolerance must be positive and finite, got {eps!r}")
+        raise ValueError(f"tolerance must be positive and finite, got {clipped_repr(eps)}")
     return float(eps)
+
+
+def clipped_repr(value) -> str:
+    """repr(value) cut to at most 40 characters, for echoing inputs in errors."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def approx_eq(x: complex, y: complex, eps: float = DEFAULT_EPS) -> bool:
@@ -79,9 +85,10 @@ def snap(x: complex, eps: float = DEFAULT_EPS) -> complex:
 
 def format_complex(z: complex) -> str:
     """Render z as 'a+bi' with 12 significant digits; pure reals drop the i part."""
+    real = z.real + 0.0  # -0.0 + 0.0 is 0.0, so negative zero prints as 0
     if z.imag == 0.0:
-        return f"{z.real:.12g}"
-    return f"{z.real:.12g}{z.imag:+.12g}i"
+        return f"{real:.12g}"
+    return f"{real:.12g}{z.imag:+.12g}i"
 
 
 def parse_complex(text: str) -> complex:

@@ -2,8 +2,28 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cyclic_leibniz.algebra import build, leibniz_check
+from cyclic_leibniz.algebra import LeibnizReport, build, leibniz_check
+from cyclic_leibniz.scalars import DEFAULT_EPS
 from helpers import random_tail
+
+
+def einsum_residuals(table):
+    """Reference: max_r |x(yz) - (xy)z - y(xz)| per basis triple, one einsum per product."""
+    lhs = np.einsum("jkm,imr->ijkr", table, table)
+    rhs = np.einsum("ijm,mkr->ijkr", table, table) + np.einsum(
+        "ikm,jmr->ijkr", table, table
+    )
+    return np.max(np.abs(lhs - rhs), axis=3)
+
+
+def einsum_leibniz_check(table, eps=DEFAULT_EPS):
+    """Reference: the Leibniz check written as three einsums, one per product."""
+    residuals = einsum_residuals(table)
+    max_residual = float(np.max(residuals))
+    if max_residual <= eps:
+        return LeibnizReport(True, max_residual)
+    i, j, k = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
+    return LeibnizReport(False, max_residual, (int(i) + 1, int(j) + 1, int(k) + 1))
 
 
 class TestBuild:
@@ -108,6 +128,17 @@ class TestPowerBasis:
         assert_allclose(powers[0], [2, 0])
         assert_allclose(powers[1], [0, 4])
 
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_equals_repeated_multiply_bitwise(self, n):
+        rng = np.random.default_rng(100 + n)
+        A = build(n, random_tail(rng, n))
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        expected = [x]
+        for _ in range(n - 1):
+            expected.append(A.multiply(x, expected[-1]))
+        powers = A.power_basis(x)
+        assert [p.tobytes() for p in powers] == [e.tobytes() for e in expected]
+
 
 class TestVerifyLeibniz:
     @pytest.mark.parametrize("n", range(1, 13))
@@ -132,6 +163,39 @@ class TestVerifyLeibniz:
         lhs_aaa = table[0, 0] @ table[0]  # a(aa) via bilinear extension
         rhs_aaa = table[0, 0] @ table[:, 0] + table[0, 0] @ table[0]
         assert np.max(np.abs(lhs_aaa - rhs_aaa)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_matches_einsum_reference_bitwise_on_companion_tables(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(3):
+            tail = np.array(random_tail(rng, n), dtype=complex)
+            tail[rng.random(n - 1) < 0.3] = 0
+            table = build(n, tail).multiplication_table()
+            assert leibniz_check(table) == einsum_leibniz_check(table)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_matches_einsum_reference_bitwise_on_integer_tables(self, n):
+        # small integer entries make every sum exact in any order, so the
+        # failing triples and residuals must agree to the bit
+        rng = np.random.default_rng(300 + n)
+        for _ in range(5):
+            table = rng.integers(-3, 4, size=(n, n, n)).astype(complex)
+            assert leibniz_check(table) == einsum_leibniz_check(table)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_matches_einsum_reference_on_dense_complex_tables(self, n):
+        # the sums run in another order, so only agreement to rounding holds
+        rng = np.random.default_rng(400 + n)
+        for _ in range(5):
+            table = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
+            reference = einsum_residuals(table)
+            report = leibniz_check(table)
+            assert report.max_residual == pytest.approx(reference.max(), rel=0, abs=1e-12)
+            if report.worst_triple is not None:
+                i, j, k = report.worst_triple
+                assert reference[i - 1, j - 1, k - 1] == pytest.approx(
+                    reference.max(), rel=0, abs=1e-12
+                )
 
     def test_table_shape_checked(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,13 @@ class TestClassify:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_huge_integer_tail_entry_is_named(self, tmp_path, capsys):
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"dimension": 2, "tail": [[1%s, 0]]}' % ("0" * 400))
+        code, out, err = run(capsys, "classify", str(doc))
+        assert (code, out) == (2, "")
+        assert err == "error: tail entry 0 is out of floating-point range\n"
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_doc(tmp_path, "a.json", 4, [0.5, -1.25, 2])
         _, first, _ = run(capsys, "classify", path)
@@ -229,6 +236,20 @@ class TestMul:
             code, out, err = run(capsys, "mul", path, "1e200,0,0", "1e200,0,1e200", *flags)
             assert (code, out) == (2, "")
             assert err == "error: product is out of floating-point range\n"
+
+    def test_negative_zero_prints_as_zero(self, tmp_path, capsys):
+        # -1 times a zero coordinate is IEEE -0.0
+        path = write_doc(tmp_path, "a.json", 3, [4, 2])
+        code, out, err = run(capsys, "mul", path, "--", "-1,0,0", "1,0,0")
+        assert (code, out, err) == (0, "tolerance: 1e-09\nproduct: (0, -1, 0)\n", "")
+
+    def test_negative_zero_json_is_zero(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "a.json", 3, [4, 2])
+        code, out, err = run(capsys, "mul", path, "--json", "--", "-1,0,0", "1,0,0")
+        assert (code, err) == (0, "")
+        assert out == record_text(
+            {"product": [[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], "tolerance": 1e-9}
+        )
 
     def test_negative_coordinates_after_double_dash(self, tmp_path, capsys):
         # without --, argparse reads -1,0,0 as an option

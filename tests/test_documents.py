@@ -62,6 +62,26 @@ def test_huge_integers_rejected(text):
         parse_algebra_document(json.loads(text))
 
 
+@pytest.mark.parametrize(
+    "text, start",
+    [
+        ('{"dimension": 3, "tail": [[1, 0], [0, %s]]}' % HUGE,
+         "tail entry 1 is out of floating-point range"),
+        ('{"dimension": 2, "tail": [[1, 0]], "tolerance": -%s}' % HUGE,
+         "tolerance must be positive and finite, got -1000"),
+        ('{"dimension": %s, "tail": [[1, 0]]}' % HUGE, "tail must have exactly n-1 = 9999"),
+        ('{"dimension": -%s, "tail": [[1, 0]]}' % HUGE,
+         "dimension must be a positive integer, got -1000"),
+    ],
+    ids=["tail-entry", "tolerance", "dimension", "negative-dimension"],
+)
+def test_huge_integer_errors_name_the_field_and_stay_short(text, start):
+    with pytest.raises(DocumentError) as caught:
+        parse_algebra_document(json.loads(text))
+    assert str(caught.value).startswith(start)
+    assert len(str(caught.value)) <= 100
+
+
 # Tuples serialize as JSON lists; being immutable, they are never edited in place.
 MUTANTS = [
     10**400, -(10**400), True, False, None, "1", (), (1, 0), ((1, 0),), {"re": 1},

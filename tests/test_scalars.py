@@ -26,6 +26,11 @@ class TestCheckedTolerance:
         with pytest.raises(ValueError):
             checked_tolerance(eps)
 
+    def test_huge_value_echo_is_clipped(self):
+        with pytest.raises(ValueError, match=r"^tolerance must be positive") as caught:
+            checked_tolerance(-(10**400))
+        assert len(str(caught.value)) <= 100
+
 
 class TestApproxEq:
     def test_identity(self):
@@ -135,6 +140,11 @@ class TestFormatting:
     def test_real_values_drop_imaginary_part(self):
         assert format_complex(-1 + 0j) == "-1"
         assert format_complex(0.5 + 0j) == "0.5"
+
+    def test_negative_zero_prints_as_zero(self):
+        assert format_complex(complex(-0.0, 0.0)) == "0"
+        assert format_complex(complex(-0.0, -0.0)) == "0"
+        assert format_complex(complex(-0.0, 2.0)) == "0+2i"
 
     def test_complex_rendering(self):
         assert format_complex(1 + 2j) == "1+2i"
