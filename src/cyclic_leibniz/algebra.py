@@ -42,6 +42,13 @@ class NotAGeneratorError(ValueError):
     """An element required to be a cyclic generator is not one."""
 
 
+def checked_dimension(n) -> int:
+    """n if it is a positive integer, else ValueError: the one dimension rule."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"dimension must be a positive integer, got {clipped_repr(n)}")
+    return n
+
+
 @dataclass(frozen=True)
 class CyclicAlgebra:
     """Dimension n plus the tail (alpha_2, ..., alpha_n) defining a*a^n."""
@@ -51,10 +58,7 @@ class CyclicAlgebra:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(
-                f"dimension must be a positive integer, got {clipped_repr(self.n)}"
-            )
+        checked_dimension(self.n)
         try:
             tail = tuple(complex(t) for t in self.tail)
         except OverflowError:
@@ -122,7 +126,7 @@ class CyclicAlgebra:
 
     # -- verification ------------------------------------------------------
 
-    def verify_leibniz(self) -> LeibnizReport:
+    def verify_leibniz(self) -> CheckReport:
         """Check x(yz) = (xy)z + y(xz) on all n^3 basis triples."""
         return leibniz_check(self.multiplication_table(), self.eps)
 
@@ -140,15 +144,19 @@ class CyclicAlgebra:
 
 
 @dataclass(frozen=True)
-class LeibnizReport:
-    """Outcome of a from-first-principles Leibniz identity check."""
+class CheckReport:
+    """Outcome of a from-first-principles check; passed iff residual <= eps.
+
+    On failure only, ``where`` holds the 1-based basis indices of the worst
+    residual: a Leibniz triple (i, j, k) or an explicit-map pair (i, j).
+    """
 
     passed: bool
-    max_residual: float
-    worst_triple: tuple[int, int, int] | None = None  # 1-based (i, j, k), fail only
+    residual: float
+    where: tuple[int, ...] | None = None
 
 
-def leibniz_check(table: np.ndarray, eps: float = DEFAULT_EPS) -> LeibnizReport:
+def leibniz_check(table: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:
     """Check the Leibniz identity for an arbitrary multiplication table.
 
     ``table[i, j, :]`` holds the coordinates of the product of basis vectors
@@ -175,11 +183,11 @@ def leibniz_check(table: np.ndarray, eps: float = DEFAULT_EPS) -> LeibnizReport:
     xy_z = (pairs @ table.reshape(n, n * n)).reshape(n, n, n, n)
     rhs = xy_z + M.transpose(0, 2, 1, 3)  # y(xz)[i,j,k] = M[i,k,j]
     residuals = np.max(np.abs(lhs - rhs), axis=3)
-    max_residual = float(np.max(residuals)) if n else 0.0
-    if max_residual <= eps:
-        return LeibnizReport(True, max_residual)
+    residual = float(np.max(residuals)) if n else 0.0
+    if residual <= eps:
+        return CheckReport(True, residual)
     i, j, k = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
-    return LeibnizReport(False, max_residual, (int(i) + 1, int(j) + 1, int(k) + 1))
+    return CheckReport(False, residual, (int(i) + 1, int(j) + 1, int(k) + 1))
 
 
 def build(

@@ -6,11 +6,14 @@ The classification pipeline, for an algebra with tail (alpha_2, ..., alpha_n):
    alpha_k != 0; if the whole tail vanishes the algebra is the (unique)
    nilpotent one.  k is an isomorphism invariant.
 
-2. *Normalization.*  The generator x = c_1 a with c_1 = alpha_k^(1/(k-n-1))
-   has leading law coefficient 1, turning the law into
+2. *Normalization.*  A generator with leading coordinate c_1 has the law
 
-       x x^n = x^k + gamma_{k+1} x^(k+1) + ... + gamma_n x^n,
-       gamma_{k+i} = c_1^(n-k+1-i) * alpha_{k+i}.
+       x x^n = sum_i c_1^(n-k+1-i) alpha_{k+i} x^(k+i),    i = 0..n-k,
+
+   written once (``_law``) for both ``generator_law`` and ``reduce``.  The
+   choice c_1 = alpha_k^(1/(k-n-1)) makes the leading coefficient 1:
+
+       x x^n = x^k + gamma_{k+1} x^(k+1) + ... + gamma_n x^n.
 
 3. *Orbit canonicalization.*  Two reduced tuples describe the same algebra
    exactly when they lie on one orbit of the weighted rescaling
@@ -27,7 +30,8 @@ equal type labels, then ``equivalent`` within eps.  The snapped canonical
 form is a display and hash key only; snapping moves entries by up to
 eps/sqrt(2), so near a grid tie two isomorphic algebras can snap to
 different orbit members.  The whole chain is cross-checked against explicit
-basis-map searches in the oracle module.
+basis-map searches in the oracle module.  ``family_table`` lists the
+families of a dimension as plain records, the shape the CLI prints.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .algebra import CyclicAlgebra, NotAGeneratorError, build
+from .algebra import CyclicAlgebra, NotAGeneratorError, build, checked_dimension
 from .scalars import (
     DEFAULT_EPS,
     approx_eq,
@@ -103,10 +107,10 @@ class CanonicalForm:
                 terms.append(f"({format_complex(g)})·a^{k + i}")
         return f"a·a^{self.n} = " + " + ".join(terms)
 
-    def as_algebra(self, eps: float = DEFAULT_EPS) -> CyclicAlgebra:
+    def as_algebra(self) -> CyclicAlgebra:
         """Rebuild the representative algebra: zeros, then 1 at index k, then gamma."""
         law = () if self.label.is_nilpotent else (1.0 + 0.0j, *self.gamma)
-        return build(self.n, embed_law(law, self.n), eps)
+        return build(self.n, embed_law(law, self.n))
 
 
 def detect_type(A: CyclicAlgebra) -> TypeLabel:
@@ -115,6 +119,13 @@ def detect_type(A: CyclicAlgebra) -> TypeLabel:
         if abs(alpha) > A.eps:
             return TypeLabel(i)
     return NILPOTENT
+
+
+def _law(A: CyclicAlgebra, k: int, c1: complex) -> GammaTuple:
+    """The law of the generator c1*a over indices k..n: c1^(n-k+1-i) alpha_(k+i)."""
+    m = A.n - k + 1
+    # a list, not a generator, for tuple(): reduce is on the classify hot path
+    return tuple([c1 ** (m - i) * alpha for i, alpha in enumerate(A.tail[k - 2:])])
 
 
 def generator_law(A: CyclicAlgebra, c1: complex) -> GammaTuple:
@@ -136,10 +147,7 @@ def generator_law(A: CyclicAlgebra, c1: complex) -> GammaTuple:
     label = detect_type(A)
     if label.is_nilpotent:
         return (0.0j,) * (A.n - 1)
-    k = label.k
-    return tuple(
-        c1 ** (A.n - k + 1 - i) * A.tail[k - 2 + i] for i in range(A.n - k + 1)
-    )
+    return _law(A, label.k, c1)
 
 
 def embed_law(law: GammaTuple, n: int) -> tuple[complex, ...]:
@@ -206,17 +214,16 @@ def reduce(A: CyclicAlgebra) -> tuple[TypeLabel, GammaTuple]:
     if label.is_nilpotent:
         return label, ()
     k = label.k
-    m = A.n - k + 1
     alpha_k = A.tail[k - 2]
     try:
-        c1 = principal_root(alpha_k, -1, m)
-        lead = c1**m * alpha_k
-        raw = tuple(c1 ** (m - i) * A.tail[k - 2 + i] for i in range(1, m))
+        law = _law(A, k, principal_root(alpha_k, -1, A.n - k + 1))
     except OverflowError:
         raise ValueError(
             f"alpha_{k} = {format_complex(alpha_k)} is out of range: "
             "its reducing generator overflows"
         ) from None
+    lead = law[0]
+    raw = law[1:]
     # 1e-12 floor: the check must survive eps set below machine rounding.
     if not abs(lead - 1.0) <= max(A.eps, 1e-12):
         raise ValueError(f"normalization drift: leading coefficient {format_complex(lead)}")
@@ -251,29 +258,18 @@ def isomorphic(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
     return label_a == label_b and equivalent(raw_a, raw_b, max(A.eps, B.eps))
 
 
-@dataclass(frozen=True)
-class Family:
-    """One parameterized isomorphism-class family of a fixed dimension."""
+def family_table(n: int) -> list[dict]:
+    """The classification families in dimension n as {k, law, parameters, orbit_order}.
 
-    label: TypeLabel
-    law: str
-    parameters: int  # complex parameters after normalization (n - k)
-    orbit_order: int | None  # roots-of-unity group order n - k + 1, None if nilpotent
-
-
-def family_table(n: int) -> list[Family]:
-    """The classification families in dimension n.
-
-    One nilpotent family, then for each k = n down to 2 an (n-k)-parameter
-    family whose tuples are identified up to the weighted action of the
-    (n-k+1)-th roots of unity; k = n is the parameter-free law a·a^n = a^n.
+    One nilpotent family (k and orbit_order None), then for each k = n down
+    to 2 an (n-k)-parameter family whose tuples are identified up to the
+    weighted action of the (n-k+1)-th roots of unity; k = n is the
+    parameter-free law a·a^n = a^n.
     """
-    if not 2 <= n <= 16:
-        raise ValueError(f"dimension must be in 2..16, got {n}")
-    families = [Family(NILPOTENT, f"a·a^{n} = 0", 0, None)]
+    checked_dimension(n)
+    families = [{"k": None, "law": f"a·a^{n} = 0", "parameters": 0, "orbit_order": None}]
     for k in range(n, 1, -1):
         terms = [f"a^{k}"] + [f"γ{j}·a^{j}" for j in range(k + 1, n + 1)]
-        families.append(
-            Family(TypeLabel(k), f"a·a^{n} = " + " + ".join(terms), n - k, n - k + 1)
-        )
+        families.append({"k": k, "law": f"a·a^{n} = " + " + ".join(terms),
+                         "parameters": n - k, "orbit_order": n - k + 1})
     return families

@@ -61,6 +61,14 @@ def parse_algebra_document(data: Any, eps_override: float | None = None) -> Cycl
         raise DocumentError(str(exc)) from exc
 
 
+def _decode_int(literal: str) -> int | float:
+    """A JSON integer, or past the int-string digit limit the float (±inf) it denotes."""
+    try:
+        return int(literal)
+    except ValueError:
+        return float(literal)
+
+
 def load_algebra(path: str | Path, eps_override: float | None = None) -> CyclicAlgebra:
     """Read and validate an algebra document from disk."""
     try:
@@ -68,7 +76,7 @@ def load_algebra(path: str | Path, eps_override: float | None = None) -> CyclicA
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_decode_int)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     return parse_algebra_document(data, eps_override)

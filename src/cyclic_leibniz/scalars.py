@@ -79,8 +79,12 @@ def canonical_key(x: complex, eps: float = DEFAULT_EPS) -> tuple[int, int]:
 
 
 def snap(x: complex, eps: float = DEFAULT_EPS) -> complex:
-    """Project x onto the eps grid (the value whose key is canonical_key(x))."""
-    return complex(round(x.real / eps) * eps, round(x.imag / eps) * eps)
+    """Project x onto the eps grid (the value whose key is canonical_key(x)).
+
+    Raises canonical_key's ValueError when x / eps overflows.
+    """
+    re, im = canonical_key(x, eps)
+    return complex(re * eps, im * eps)
 
 
 def format_complex(z: complex) -> str:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cyclic_leibniz.algebra import LeibnizReport, build, leibniz_check
+from cyclic_leibniz.algebra import CheckReport, build, leibniz_check
 from cyclic_leibniz.scalars import DEFAULT_EPS
 from helpers import random_tail
 
@@ -21,9 +21,9 @@ def einsum_leibniz_check(table, eps=DEFAULT_EPS):
     residuals = einsum_residuals(table)
     max_residual = float(np.max(residuals))
     if max_residual <= eps:
-        return LeibnizReport(True, max_residual)
+        return CheckReport(True, max_residual)
     i, j, k = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
-    return LeibnizReport(False, max_residual, (int(i) + 1, int(j) + 1, int(k) + 1))
+    return CheckReport(False, max_residual, (int(i) + 1, int(j) + 1, int(k) + 1))
 
 
 class TestBuild:
@@ -147,7 +147,7 @@ class TestVerifyLeibniz:
         for _ in range(10):
             report = build(n, random_tail(rng, n)).verify_leibniz()
             assert report.passed
-            assert report.worst_triple is None
+            assert report.where is None
 
     def test_injected_bad_table_fails(self):
         # n = 2 nilpotent table with the illegal product (a^2)a = a injected.
@@ -158,8 +158,8 @@ class TestVerifyLeibniz:
         table[1, 0] = A.generator()
         report = leibniz_check(table)
         assert not report.passed
-        assert report.max_residual == pytest.approx(2.0)
-        assert report.worst_triple == (2, 1, 1)
+        assert report.residual == pytest.approx(2.0)
+        assert report.where == (2, 1, 1)
         lhs_aaa = table[0, 0] @ table[0]  # a(aa) via bilinear extension
         rhs_aaa = table[0, 0] @ table[:, 0] + table[0, 0] @ table[0]
         assert np.max(np.abs(lhs_aaa - rhs_aaa)) == pytest.approx(1.0)
@@ -190,9 +190,9 @@ class TestVerifyLeibniz:
             table = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
             reference = einsum_residuals(table)
             report = leibniz_check(table)
-            assert report.max_residual == pytest.approx(reference.max(), rel=0, abs=1e-12)
-            if report.worst_triple is not None:
-                i, j, k = report.worst_triple
+            assert report.residual == pytest.approx(reference.max(), rel=0, abs=1e-12)
+            if report.where is not None:
+                i, j, k = report.where
                 assert reference[i - 1, j - 1, k - 1] == pytest.approx(
                     reference.max(), rel=0, abs=1e-12
                 )

@@ -364,22 +364,25 @@ class TestIsomorphic:
 class TestFamilyTable:
     def test_dimension_two(self):
         families = family_table(2)
-        assert [f.label.k for f in families] == [None, 2]
+        assert [f["k"] for f in families] == [None, 2]
 
     def test_dimension_three(self):
         families = family_table(3)
-        assert [f.label.k for f in families] == [None, 3, 2]
-        assert families[2].parameters == 1
-        assert families[2].orbit_order == 2
+        assert [f["k"] for f in families] == [None, 3, 2]
+        assert families[2]["parameters"] == 1
+        assert families[2]["orbit_order"] == 2
 
     def test_dimension_four(self):
         families = family_table(4)
-        assert [f.label.k for f in families] == [None, 4, 3, 2]
-        assert [f.orbit_order for f in families] == [None, 1, 2, 3]
-        assert "γ3" in families[3].law and "γ4" in families[3].law
+        assert [f["k"] for f in families] == [None, 4, 3, 2]
+        assert [f["orbit_order"] for f in families] == [None, 1, 2, 3]
+        assert "γ3" in families[3]["law"] and "γ4" in families[3]["law"]
 
     def test_range_validated(self):
-        with pytest.raises(ValueError):
-            family_table(1)
-        with pytest.raises(ValueError):
-            family_table(17)
+        # every dimension build accepts, n >= 1
+        with pytest.raises(ValueError, match="dimension must be a positive integer, got 0"):
+            family_table(0)
+        assert family_table(1) == [
+            {"k": None, "law": "a·a^1 = 0", "parameters": 0, "orbit_order": None}
+        ]
+        assert [f["k"] for f in family_table(17)] == [None, *range(17, 1, -1)]

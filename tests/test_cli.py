@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cyclic_leibniz.algebra import CyclicAlgebra
 from cyclic_leibniz.cli import main
 
 
@@ -91,6 +92,25 @@ class TestClassify:
         code, out, err = run(capsys, "classify", str(doc))
         assert (code, out) == (2, "")
         assert err == "error: tail entry 0 is out of floating-point range\n"
+
+    @pytest.mark.parametrize(
+        "template, message",
+        [
+            ('{"dimension": 2, "tail": [[%s, 0]]}', "tail entries must be finite"),
+            ('{"dimension": %s, "tail": [[1, 0]]}',
+             "dimension must be a positive integer, got inf"),
+            ('{"dimension": 2, "tail": [[1, 0]], "tolerance": %s}',
+             "tolerance must be positive and finite, got inf"),
+        ],
+        ids=["tail", "dimension", "tolerance"],
+    )
+    def test_integer_past_digit_limit_names_the_field(self, tmp_path, capsys,
+                                                      template, message):
+        # 5,001 digits: past the int-string conversion limit, read as inf
+        doc = tmp_path / "huge.json"
+        doc.write_text(template % ("1" * 5001))
+        code, out, err = run(capsys, "classify", str(doc))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_doc(tmp_path, "a.json", 4, [0.5, -1.25, 2])
@@ -294,6 +314,18 @@ class TestVerify:
             assert (code, out) == (2, "")
             assert err == "error: verification residuals are out of floating-point range\n"
 
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        # what numpy raises when the check's arrays do not fit; never allocated here
+        def no_memory(self):
+            raise MemoryError("Unable to allocate 23.8 GiB for an array")
+
+        monkeypatch.setattr(CyclicAlgebra, "verify_leibniz", no_memory)
+        path = write_doc(tmp_path, "a.json", 3, [1, 2])
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, "verify", path, *flags)
+            assert (code, out) == (2, "")
+            assert err == "error: Unable to allocate 23.8 GiB for an array\n"
+
 
 class TestTable:
     def test_dimension_three(self, capsys):
@@ -319,8 +351,17 @@ class TestTable:
         assert len(lines) == 2
 
     def test_out_of_range(self, capsys):
-        assert run(capsys, "table", "17")[0] == 2
-        assert run(capsys, "table", "1")[0] == 2
+        code, out, err = run(capsys, "table", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: dimension must be a positive integer, got 0\n"
+        code, out, _ = run(capsys, "table", "1")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("  ")] == [
+            "  1. nilpotent: a·a^1 = 0"
+        ]
+        code, out, _ = run(capsys, "table", "17")
+        assert code == 0
+        assert out.count("type") == 16
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "table", "4", "--json")
