@@ -109,13 +109,14 @@ class CyclicAlgebra:
         y = self.element(y)
         return x[0] * (self.companion() @ y)
 
-    def power_basis(self, x: Sequence[complex]) -> list[Element]:
-        """[x, x^2, ..., x^n] with x^(j+1) = x * x^j.  Independence is not checked."""
+    def power_basis(self, x: Sequence[complex]) -> np.ndarray:
+        """Rows x, x^2, ..., x^n with x^(j+1) = x * x^j.  Independence is not checked."""
         x = self.element(x)
         L = self.companion()
-        powers = [x]
-        for _ in range(self.n - 1):
-            powers.append(x[0] * (L @ powers[-1]))  # the arithmetic of multiply
+        powers = np.empty((self.n, self.n), dtype=complex)
+        powers[0] = x
+        for j in range(1, self.n):
+            powers[j] = x[0] * (L @ powers[j - 1])  # the arithmetic of multiply
         return powers
 
     def multiplication_table(self) -> np.ndarray:

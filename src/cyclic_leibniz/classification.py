@@ -159,11 +159,7 @@ def embed_law(law: GammaTuple, n: int) -> tuple[complex, ...]:
     """
     if len(law) > n - 1:
         raise ValueError(f"law has {len(law)} entries, more than n-1 = {n - 1}")
-    tail = [0.0j] * (n - 1)
-    offset = (n - 1) - len(law)
-    for i, g in enumerate(law):
-        tail[offset + i] = complex(g)
-    return tuple(tail)
+    return (0j,) * (n - 1 - len(law)) + tuple(complex(g) for g in law)
 
 
 def rescale(gamma: GammaTuple, omega: complex) -> GammaTuple:

@@ -27,13 +27,15 @@ from .oracle import fuzz, iso_by_search
 from .scalars import DEFAULT_EPS, checked_tolerance, format_complex, parse_complex, snap
 
 
-def _pairs(values) -> list[list[float]]:
-    # adding 0.0 turns -0.0 into 0.0, which JSON would otherwise print as -0.0
-    return [[complex(v).real + 0.0, complex(v).imag + 0.0] for v in values]
+def _json_pair(value) -> list[float]:
+    # records keep complex values; JSON gets [re, im], where + 0.0 turns -0.0 into 0.0
+    if not isinstance(value, complex):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return [value.real + 0.0, value.imag + 0.0]
 
 
-def _tuple_str(pairs) -> str:
-    return "(" + ", ".join(format_complex(complex(re, im)) for re, im in pairs) + ")"
+def _tuple_str(values) -> str:
+    return "(" + ", ".join(format_complex(v) for v in values) + ")"
 
 
 def _flag_eps(args) -> float:
@@ -49,7 +51,7 @@ def cmd_classify(args) -> tuple[int, float, dict]:
         "class": str(form.label),
         "k": form.label.k,
         "law": form.law(),
-        "gamma": _pairs(form.gamma),
+        "gamma": form.gamma,
     }
 
 
@@ -100,7 +102,7 @@ def cmd_orbit(args) -> tuple[int, float, dict]:
     form = normalize(A)
     if form.label.is_nilpotent:
         return 1, A.eps, {"error": "orbit undefined for nilpotent algebra"}
-    members = [_pairs(snap(g, A.eps) for g in m) for m in orbit(form.gamma, A.eps)]
+    members = [tuple(snap(g, A.eps) for g in m) for m in orbit(form.gamma, A.eps)]
     return 0, A.eps, {
         "dimension": form.n,
         "k": form.label.k,
@@ -132,7 +134,7 @@ def cmd_mul(args) -> tuple[int, float, dict]:
         product = A.multiply(x, y)
     if not np.isfinite(product).all():
         raise ValueError("product is out of floating-point range")
-    return 0, A.eps, {"product": _pairs(product)}
+    return 0, A.eps, {"product": product.tolist()}
 
 
 def mul_lines(r: dict, args) -> list[str]:
@@ -154,7 +156,7 @@ def cmd_verify(args) -> tuple[int, float, dict]:
         "cayley_residual": cayley,
     }
     if not report.passed:
-        record["leibniz_worst_triple"] = list(report.where)
+        record["leibniz_worst_triple"] = report.where
     code = 0 if report.passed and record["cayley_passed"] else 1
     return code, A.eps, record
 
@@ -162,7 +164,7 @@ def cmd_verify(args) -> tuple[int, float, dict]:
 def verify_lines(r: dict, args) -> list[str]:
     leibniz = f"max residual {r['leibniz_residual']:.3e}"
     if not r["leibniz_passed"]:
-        leibniz += f" at triple {tuple(r['leibniz_worst_triple'])}"
+        leibniz += f" at triple {r['leibniz_worst_triple']}"
     return [
         f"dimension: {r['dimension']}",
         f"leibniz: {'pass' if r['leibniz_passed'] else 'FAIL'} ({leibniz})",
@@ -300,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     record["tolerance"] = eps
     if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
+        print(json.dumps(record, indent=2, sort_keys=True, default=_json_pair))
     else:
         print("\n".join([f"tolerance: {eps:g}", *args.lines(record, args)]))
     return code

@@ -36,7 +36,8 @@ from .scalars import DEFAULT_EPS, format_complex, principal_root, roots_of_unity
 NEAR_BOUNDARY_FACTOR = 10.0
 
 # Campaign thresholds: well above float noise in the sampled boxes, well
-# below any honest signal (tail moduli are kept >= 1e-2).
+# below any honest signal (tail moduli are kept >= 1e-2).  The law and
+# Cayley-Hamilton ones are relative to the compared sizes, floored at one.
 LAW_AGREEMENT_TOL = 1e-7
 CAYLEY_TOL = 1e-8
 LEAD_DETECT_TOL = 1e-6
@@ -46,24 +47,30 @@ def law_by_linear_solve(A: CyclicAlgebra, x) -> np.ndarray | None:
     """Coordinates of x*x^n in the power basis [x, x^2, ..., x^n], or None.
 
     Solves the n-by-n system directly; returns None when the power basis is
-    numerically dependent (smallest singular value <= eps * largest), which
-    is exactly the oracle's generator test -- no reference to the leading
-    coordinate is made.
+    numerically dependent (``_dependent``: with each power scaled to unit
+    norm, smallest singular value <= eps * largest), which is exactly the
+    oracle's generator test -- no reference to the leading coordinate is
+    made.
     """
     powers = A.power_basis(x)
-    P = np.column_stack(powers)
-    if _dependent(P, A.eps):
+    if _dependent(powers.T, A.eps):
         return None
-    rhs = A.multiply(x, powers[-1])
-    return np.linalg.solve(P, rhs)
+    return np.linalg.solve(powers.T, A.multiply(x, powers[-1]))
 
 
 def _dependent(P: np.ndarray, eps: float) -> bool:
     """The oracle's generator test: the columns of P are numerically dependent.
 
-    True iff the smallest singular value is at most eps times the largest.
+    Each column is divided by its 2-norm first, so the test is scale-free:
+    the power basis of c*x is that of x with column j times c^j.  A zero or
+    non-finite norm (one that overflows included) is dependent outright.
+    Otherwise true iff the smallest singular value is at most eps times the
+    largest.
     """
-    svals = np.linalg.svd(P, compute_uv=False)
+    norms = np.linalg.norm(P, axis=0)
+    if not 0 < norms.min() <= norms.max() < np.inf:  # NaN fails too
+        return True
+    svals = np.linalg.svd(P / norms, compute_uv=False)
     return svals[-1] <= eps * svals[0]
 
 
@@ -96,17 +103,19 @@ def explicit_iso_check(A: CyclicAlgebra, B: CyclicAlgebra, x, y) -> CheckReport:
     if A.n != B.n:
         raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
     eps = max(A.eps, B.eps)
-    PX = np.column_stack(A.power_basis(x))
-    PY = np.column_stack(B.power_basis(y))
+    PX = A.power_basis(x)
+    PY = B.power_basis(y)
     for P, name in ((PX, "x"), (PY, "y")):
-        if _dependent(P, eps):
+        if _dependent(P.T, eps):
             raise NotAGeneratorError(f"power basis of {name} is numerically dependent")
-    F = np.linalg.solve(PX.T, PY.T).T  # F @ PX = PY
-    # f(a^i a^j): only a^1 multiplies nonzero on the left, by L_a.
-    lhs = np.einsum("i,rj->ijr", A.generator(), F @ A.companion())
-    rhs = np.einsum("i,rj->ijr", F[0, :], B.companion() @ F)
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    residuals = np.max(np.abs(lhs - rhs), axis=2) / scale
+    F = np.linalg.solve(PX, PY).T  # F @ PX.T = PY.T
+    # f(a a^j) is column j of F L_a; f(a^i a^j) = 0 for i >= 2 (a^i left-annihilates)
+    FL = F @ A.companion()
+    rhs = np.einsum("i,rj->ijr", F[0, :], B.companion() @ F)  # f(a^i) f(a^j)
+    residuals = np.max(np.abs(rhs), axis=2)
+    residuals[0] = np.max(np.abs(FL.T - rhs[0]), axis=1)
+    scale = max(1.0, float(np.max(np.abs(FL))), float(np.max(np.abs(rhs))))
+    residuals /= scale
     residual = float(np.max(residuals))
     if residual <= eps:
         return CheckReport(True, residual)
@@ -182,9 +191,10 @@ def fuzz(
     """Seeded campaign cross-checking oracles against the closed-form route.
 
     Per trial: build a random algebra (skipping near-boundary tails), check
-    the Leibniz identity and the characteristic-polynomial annihilation,
-    compare ``law_by_linear_solve`` against the law formula on a random
-    generator with full random coordinates, and compare ``iso_by_search``
+    the Leibniz identity and the characteristic-polynomial annihilation
+    (relative to max|L_a^n|), compare ``law_by_linear_solve`` against the
+    law formula (relative to its largest coefficient) on a random generator
+    with full random coordinates, and compare ``iso_by_search``
     against ``isomorphic`` on a partner algebra (alternately a
     deliberately isomorphic rebuild and an independent draw).  An oracle
     that raises NotAGeneratorError is recorded as the trial's failure.
@@ -234,7 +244,8 @@ def fuzz(
 
         cayley = A.cayley_hamilton_residual()
         max_cayley = max(max_cayley, cayley)
-        if cayley > CAYLEY_TOL:
+        L_n = np.linalg.matrix_power(A.companion(), n)
+        if cayley > CAYLEY_TOL * max(1.0, float(np.max(np.abs(L_n)))):
             failures.append(f"{describe()}: cayley-hamilton residual {cayley:.3e}")
 
         # Law agreement on a full random generator.
@@ -251,7 +262,7 @@ def fuzz(
             expected[1:] = embed_law(generator_law(A, c1), n)
             dev = float(np.max(np.abs(lam - expected)))
             max_law_dev = max(max_law_dev, dev)
-            if dev > LAW_AGREEMENT_TOL:
+            if dev > LAW_AGREEMENT_TOL * max(1.0, float(np.max(np.abs(expected)))):
                 failures.append(f"{describe()}: law deviation {dev:.3e} "
                                 f"(c1={format_complex(c1)})")
             lead = law_leading_index(lam, c1)

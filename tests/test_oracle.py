@@ -54,6 +54,11 @@ class TestLawByLinearSolve:
         x = np.array([0, 1, 1, 1], dtype=complex)
         assert law_by_linear_solve(A, x) is None
 
+    def test_zero_square_is_not_a_generator(self):
+        # x = a - a^2 lies outside A.A = span(a^2), yet x.x = 0 exactly: the
+        # zero column must be called dependent, not divided by its norm
+        assert law_by_linear_solve(build(2, [1]), [1, -1]) is None
+
     def test_detection_matches_leading_coordinate(self):
         # |c1| <= eps fails, |c1| well above the boundary band succeeds
         rng = np.random.default_rng(3)
@@ -112,6 +117,11 @@ class TestExplicitIsoCheck:
         with pytest.raises(NotAGeneratorError):
             explicit_iso_check(A, A, A.basis_element(2), A.generator())
 
+    def test_zero_square_raises(self):
+        A = build(2, [1])
+        with pytest.raises(NotAGeneratorError):
+            explicit_iso_check(A, A, [1, -1], [1, 0])
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             explicit_iso_check(build(2, [1]), build(3, [1, 0]),
@@ -144,6 +154,12 @@ class TestIsoBySearch:
                                  -0.026769032612109365 - 0.12068656863673177j])
         assert not iso_by_search(A, B)
         assert not iso_by_search(B, A)
+
+    def test_large_scale_generator_is_accepted(self):
+        # the candidate c*a with c = 5e8 has power basis diag(c, ..., c^16):
+        # independent, though its raw singular values span 130 decades
+        A = build(16, [0] * 14 + [2e-9])
+        assert iso_by_search(A, A)
 
     @pytest.mark.parametrize("n", [12, 16])
     def test_different_type_pairs_are_false_without_raising(self, n):
@@ -188,6 +204,14 @@ class TestFuzz:
         assert report.failures == ()
         assert report.executed + report.skipped_near_boundary == 200
         assert report.max_law_deviation < 1e-7
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_clean_to_dimension_16(self, seed):
+        # the rank test is scale-free and the law and Cayley-Hamilton checks
+        # are relative, so large generator scales at n <= 16 are no failure
+        report = fuzz(100, dim_max=16, seed=seed)
+        assert report.failures == ()
+        assert report.passed
 
     def test_oracle_exception_is_a_recorded_failure(self):
         # at dim_max 16 the oracle's rank test rejects some genuine generators
