@@ -4,7 +4,7 @@ The package re-exports the names its callers use; everything else is
 imported from its module:
 
 * :mod:`cyclic_leibniz.scalars` -- tolerance policy, roots of unity,
-  principal fractional powers, grid keys.
+  inverse roots, grid keys, number formatting.
 * :mod:`cyclic_leibniz.algebra` -- the algebras themselves, their products
   and operators, and from-first-principles identity verification.
 * :mod:`cyclic_leibniz.classification` -- type detection, reduction,

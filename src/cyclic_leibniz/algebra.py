@@ -156,6 +156,15 @@ class CheckReport:
     residual: float
     where: tuple[int, ...] | None = None
 
+    @classmethod
+    def of(cls, residuals: np.ndarray, eps: float) -> CheckReport:
+        """The report on an array of residuals, one per basis triple or pair."""
+        residual = float(np.max(residuals))
+        if residual <= eps:
+            return cls(True, residual)
+        where = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
+        return cls(False, residual, tuple(int(i) + 1 for i in where))
+
 
 def leibniz_check(table: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:
     """Check the Leibniz identity for an arbitrary multiplication table.
@@ -183,18 +192,8 @@ def leibniz_check(table: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:
     lhs = M.transpose(2, 0, 1, 3)  # x(yz)[i,j,k] = M[j,k,i]
     xy_z = (pairs @ table.reshape(n, n * n)).reshape(n, n, n, n)
     rhs = xy_z + M.transpose(0, 2, 1, 3)  # y(xz)[i,j,k] = M[i,k,j]
-    residuals = np.max(np.abs(lhs - rhs), axis=3)
-    residual = float(np.max(residuals)) if n else 0.0
-    if residual <= eps:
-        return CheckReport(True, residual)
-    i, j, k = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
-    return CheckReport(False, residual, (int(i) + 1, int(j) + 1, int(k) + 1))
+    return CheckReport.of(np.max(np.abs(lhs - rhs), axis=3), eps)
 
 
-def build(
-    n: int,
-    tail: Sequence[complex],
-    eps: float = DEFAULT_EPS,
-) -> CyclicAlgebra:
-    """Construct the cyclic Leibniz algebra with a*a^n = sum(tail[i-2] * a^i)."""
-    return CyclicAlgebra(n=n, tail=tail, eps=eps)
+# build(n, tail, eps): the algebra with a*a^n = sum(tail[i-2] * a^i)
+build = CyclicAlgebra

@@ -45,7 +45,7 @@ from .scalars import (
     approx_eq,
     canonical_key,
     format_complex,
-    principal_root,
+    inverse_root,
     roots_of_unity,
     snap,
 )
@@ -98,19 +98,23 @@ class CanonicalForm:
 
     def law(self) -> str:
         """Human-readable canonical law, e.g. 'a·a^3 = a^2 + (-1)·a^3'."""
-        if self.label.is_nilpotent:
-            return f"a·a^{self.n} = 0"
-        k = self.label.k
-        terms = [f"a^{k}"]
-        for i, g in enumerate(self.gamma, start=1):
-            if g != 0:
-                terms.append(f"({format_complex(g)})·a^{k + i}")
-        return f"a·a^{self.n} = " + " + ".join(terms)
+        first = self.n - len(self.gamma) + 1  # gamma covers indices k+1..n
+        return _law_text(self.n, self.label.k, [
+            f"({format_complex(g)})·a^{j}"
+            for j, g in enumerate(self.gamma, start=first) if g != 0
+        ])
 
     def as_algebra(self) -> CyclicAlgebra:
         """Rebuild the representative algebra: zeros, then 1 at index k, then gamma."""
         law = () if self.label.is_nilpotent else (1.0 + 0.0j, *self.gamma)
         return build(self.n, embed_law(law, self.n))
+
+
+def _law_text(n: int, k: int | None, terms: list[str]) -> str:
+    """'a·a^n = a^k + terms...', or 'a·a^n = 0' for the nilpotent law (k None)."""
+    if k is None:
+        return f"a·a^{n} = 0"
+    return f"a·a^{n} = " + " + ".join([f"a^{k}", *terms])
 
 
 def detect_type(A: CyclicAlgebra) -> TypeLabel:
@@ -200,7 +204,7 @@ def reduce(A: CyclicAlgebra) -> tuple[TypeLabel, GammaTuple]:
     """The type label of A and its raw reduced tuple (gamma_{k+1}, ..., gamma_n).
 
     The reducing generator is x = c_1 a with c_1 = alpha_k^(1/(k-n-1)),
-    realized as ``principal_root(alpha_k, -1, n-k+1)``.  The branch
+    realized as ``inverse_root(alpha_k, n-k+1)``.  The branch
     ambiguity (a factor that is an (n-k+1)-th root of unity) is exactly the
     orbit action, so the tuple is defined up to ``rescale``.  Nilpotent
     algebras reduce to the empty tuple.  Raises ValueError when the tail is
@@ -212,7 +216,7 @@ def reduce(A: CyclicAlgebra) -> tuple[TypeLabel, GammaTuple]:
     k = label.k
     alpha_k = A.tail[k - 2]
     try:
-        law = _law(A, k, principal_root(alpha_k, -1, A.n - k + 1))
+        law = _law(A, k, inverse_root(alpha_k, A.n - k + 1))
     except OverflowError:
         raise ValueError(
             f"alpha_{k} = {format_complex(alpha_k)} is out of range: "
@@ -263,9 +267,8 @@ def family_table(n: int) -> list[dict]:
     parameter-free law a·a^n = a^n.
     """
     checked_dimension(n)
-    families = [{"k": None, "law": f"a·a^{n} = 0", "parameters": 0, "orbit_order": None}]
+    families = [{"k": None, "law": _law_text(n, None, []), "parameters": 0, "orbit_order": None}]
     for k in range(n, 1, -1):
-        terms = [f"a^{k}"] + [f"γ{j}·a^{j}" for j in range(k + 1, n + 1)]
-        families.append({"k": k, "law": f"a·a^{n} = " + " + ".join(terms),
-                         "parameters": n - k, "orbit_order": n - k + 1})
+        law = _law_text(n, k, [f"γ{j}·a^{j}" for j in range(k + 1, n + 1)])
+        families.append({"k": k, "law": law, "parameters": n - k, "orbit_order": n - k + 1})
     return families

@@ -24,7 +24,7 @@ from .algebra import NotAGeneratorError
 from .classification import TypeLabel, family_table, isomorphic, normalize, orbit
 from .documents import load_algebra
 from .oracle import fuzz, iso_by_search
-from .scalars import DEFAULT_EPS, checked_tolerance, format_complex, parse_complex, snap
+from .scalars import DEFAULT_EPS, checked_tolerance, format_tuple, parse_complex, snap
 
 
 def _json_pair(value) -> list[float]:
@@ -32,10 +32,6 @@ def _json_pair(value) -> list[float]:
     if not isinstance(value, complex):
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
     return [value.real + 0.0, value.imag + 0.0]
-
-
-def _tuple_str(values) -> str:
-    return "(" + ", ".join(format_complex(v) for v in values) + ")"
 
 
 def _flag_eps(args) -> float:
@@ -60,7 +56,7 @@ def classify_lines(r: dict, args) -> list[str]:
         f"dimension: {r['dimension']}",
         f"class: {r['class']}",
         f"law: {r['law']}",
-        f"gamma: {_tuple_str(r['gamma'])}",
+        f"gamma: {format_tuple(r['gamma'])}",
     ]
 
 
@@ -122,7 +118,7 @@ def orbit_lines(r: dict, args) -> list[str]:
     ]
     for i, member in enumerate(r["members"]):
         marker = "  [canonical]" if i == 0 else ""
-        lines.append(f"  {_tuple_str(member)}{marker}")
+        lines.append(f"  {format_tuple(member)}{marker}")
     return lines
 
 
@@ -138,7 +134,7 @@ def cmd_mul(args) -> tuple[int, float, dict]:
 
 
 def mul_lines(r: dict, args) -> list[str]:
-    return [f"product: {_tuple_str(r['product'])}"]
+    return [f"product: {format_tuple(r['product'])}"]
 
 
 def cmd_verify(args) -> tuple[int, float, dict]:

@@ -50,11 +50,7 @@ def parse_algebra_document(data: Any, eps_override: float | None = None) -> Cycl
             raise DocumentError(
                 f"tail entry {index} is out of floating-point range"
             ) from None
-    eps = eps_override
-    if eps is None:
-        eps = data.get("tolerance", DEFAULT_EPS)
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
-            raise DocumentError(f"tolerance must be a number, got {eps!r}")
+    eps = data.get("tolerance", DEFAULT_EPS) if eps_override is None else eps_override
     try:
         return build(dimension, tail, eps)
     except ValueError as exc:
@@ -72,12 +68,16 @@ def _decode_int(literal: str) -> int | float:
 def load_algebra(path: str | Path, eps_override: float | None = None) -> CyclicAlgebra:
     """Read and validate an algebra document from disk."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text, parse_int=_decode_int)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise DocumentError(f"{path} is nested too deeply to decode") from None
     return parse_algebra_document(data, eps_override)
 

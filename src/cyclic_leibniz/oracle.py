@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import CheckReport, CyclicAlgebra, NotAGeneratorError, build
 from .classification import embed_law, generator_law, isomorphic
-from .scalars import DEFAULT_EPS, format_complex, principal_root, roots_of_unity
+from .scalars import DEFAULT_EPS, format_complex, format_tuple, inverse_root, roots_of_unity
 
 NEAR_BOUNDARY_FACTOR = 10.0
 
@@ -113,14 +113,9 @@ def explicit_iso_check(A: CyclicAlgebra, B: CyclicAlgebra, x, y) -> CheckReport:
     FL = F @ A.companion()
     rhs = np.einsum("i,rj->ijr", F[0, :], B.companion() @ F)  # f(a^i) f(a^j)
     residuals = np.max(np.abs(rhs), axis=2)
+    scale = max(1.0, float(np.max(np.abs(FL))), float(np.max(residuals)))
     residuals[0] = np.max(np.abs(FL.T - rhs[0]), axis=1)
-    scale = max(1.0, float(np.max(np.abs(FL))), float(np.max(np.abs(rhs))))
-    residuals /= scale
-    residual = float(np.max(residuals))
-    if residual <= eps:
-        return CheckReport(True, residual)
-    i, j = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
-    return CheckReport(False, residual, (int(i) + 1, int(j) + 1))
+    return CheckReport.of(residuals / scale, eps)
 
 
 def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
@@ -142,8 +137,8 @@ def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
     if kA is None:
         # Two nilpotent algebras: the basis map a^i -> b^i must check out.
         return explicit_iso_check(A, B, A.generator(), B.generator()).passed
-    cA = principal_root(A.tail[kA - 2], -1, A.n - kA + 1)
-    cB = principal_root(B.tail[kB - 2], -1, B.n - kB + 1)
+    cA = inverse_root(A.tail[kA - 2], A.n - kA + 1)
+    cB = inverse_root(B.tail[kB - 2], B.n - kB + 1)
     y = cB * B.generator()
     for omega in roots_of_unity(A.n - kA + 1):
         x = (cA * omega) * A.generator()
@@ -228,13 +223,8 @@ def fuzz(
         A = build(n, tail, eps)
 
         def describe(B: CyclicAlgebra | None = None) -> str:
-            parts = [f"trial {t} (seed {seed}): n={n}",
-                     "tail=(" + ", ".join(format_complex(a) for a in A.tail) + ")"]
-            if B is not None:
-                parts.append(
-                    "partner tail=(" + ", ".join(format_complex(b) for b in B.tail) + ")"
-                )
-            return ", ".join(parts)
+            partner = "" if B is None else f", partner tail={format_tuple(B.tail)}"
+            return f"trial {t} (seed {seed}): n={n}, tail={format_tuple(A.tail)}{partner}"
 
         leibniz = A.verify_leibniz()
         max_leibniz = max(max_leibniz, leibniz.residual)

@@ -17,16 +17,24 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 
 DEFAULT_EPS = 1e-9
 
 
 def checked_tolerance(eps: float) -> float:
-    """eps as a float if positive and finite, else ValueError: the one tolerance rule."""
-    if not 0 < eps <= sys.float_info.max:
+    """eps as a float if a positive finite real, not bool, else ValueError: the tolerance rule."""
+    # float and int first: the numbers.Real check alone costs about 1 us a call
+    if isinstance(eps, bool) or not isinstance(eps, (float, int, numbers.Real)):
+        raise ValueError(f"tolerance must be a number, got {clipped_repr(eps)}")
+    try:
+        value = float(eps)  # compared as a float: float32 cannot hold sys.float_info.max
+    except OverflowError:  # an int or Fraction past the float range
+        value = math.inf
+    if not 0 < value <= sys.float_info.max:
         raise ValueError(f"tolerance must be positive and finite, got {clipped_repr(eps)}")
-    return float(eps)
+    return value
 
 
 def clipped_repr(value) -> str:
@@ -47,20 +55,16 @@ def roots_of_unity(m: int) -> list[complex]:
     return [cmath.exp(2j * math.pi * j / m) for j in range(m)]
 
 
-def principal_root(x: complex, p: int, q: int) -> complex:
-    """x**(p/q) on the principal branch of the argument (arg in (-pi, pi]).
+def inverse_root(x: complex, q: int) -> complex:
+    """x**(-1/q) on the principal branch of the argument (arg in (-pi, pi]); x != 0.
 
-    The q possible values of x**(p/q) differ by q-th roots of unity; callers
-    that care about the ambiguity (orbit canonicalization) absorb it
-    downstream, so a fixed deterministic branch is all that is needed.
+    The q possible values differ by q-th roots of unity; callers that care
+    about the ambiguity (orbit canonicalization) absorb it downstream, so a
+    fixed deterministic branch is all that is needed.
     """
     if q < 1:
         raise ValueError(f"root order must be a positive integer, got {q}")
-    if x == 0:
-        if p < 0:
-            raise ZeroDivisionError("zero base with negative exponent")
-        return 1.0 + 0.0j if p == 0 else 0.0j
-    return cmath.exp(cmath.log(x) * (p / q))
+    return cmath.exp(cmath.log(x) * (-1 / q))
 
 
 def canonical_key(x: complex, eps: float = DEFAULT_EPS) -> tuple[int, int]:
@@ -93,6 +97,11 @@ def format_complex(z: complex) -> str:
     if z.imag == 0.0:
         return f"{real:.12g}"
     return f"{real:.12g}{z.imag:+.12g}i"
+
+
+def format_tuple(values) -> str:
+    """Render complex values as '(a, b+ci, ...)' with ``format_complex``."""
+    return "(" + ", ".join(format_complex(v) for v in values) + ")"
 
 
 def parse_complex(text: str) -> complex:

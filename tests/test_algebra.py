@@ -54,6 +54,13 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(2, [1], eps=0.0)
 
+    @pytest.mark.parametrize("eps", [None, "1e-9", True, "x" * 500],
+                             ids=["none", "string", "bool", "long-string"])
+    def test_tolerance_must_be_a_number(self, eps):
+        with pytest.raises(ValueError, match="^tolerance must be a number, got ") as caught:
+            build(2, [1], eps=eps)
+        assert len(str(caught.value).split("got ", 1)[1]) <= 40
+
     def test_out_of_float_range_is_value_error(self):
         # complex() and float() raise OverflowError on these integers
         with pytest.raises(ValueError):

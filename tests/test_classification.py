@@ -230,7 +230,7 @@ class TestNormalize:
         # a reducing generator that fails to normalize alpha_k must be caught
         # by a check that survives python -O
         monkeypatch.setattr(
-            "cyclic_leibniz.classification.principal_root", lambda x, p, q: 1.5
+            "cyclic_leibniz.classification.inverse_root", lambda x, q: 1.5
         )
         with pytest.raises(ValueError, match="drift"):
             reduce(build(3, [4, 2]))

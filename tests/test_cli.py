@@ -158,6 +158,18 @@ class TestIso:
         assert payload["isomorphic"] is True
         assert payload["oracle_agrees"] is True
 
+    @pytest.mark.parametrize("content", [
+        b'{"dimension": 2, "tail": ' + b"[" * 1000 + b"]" * 1000 + b"}",
+        '{"dimension": 2, "tail": [[1, 0]]}'.encode("utf-16"),
+    ], ids=["nested-1000-deep", "utf-16"])
+    def test_undecodable_document_is_named(self, tmp_path, capsys, content):
+        a = write_doc(tmp_path, "a.json", 2, [1])
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "iso", a, str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad} ") and err.count("\n") == 1
+
     def test_oracle_failures_exit_one(self, tmp_path, capsys):
         # n = 12 and 16 pairs at scales where the oracle's rank test is
         # unreliable: type 12 against type 11 (settled by the leading-index

@@ -39,6 +39,8 @@ def test_tolerance_priority():
         {"dimension": 2, "tail": [[1, 0]], "tolerance": "small"},
         {"dimension": 2, "tail": [[1, 0]], "tolerance": -1e-9},
         {"dimension": 2, "tail": [[1, 0]], "tolerance": 0},
+        {"dimension": 2, "tail": [[1, 0]], "tolerance": True},
+        {"dimension": 2, "tail": [[1, 0]], "tolerance": None},
     ],
 )
 def test_invalid_documents_rejected(doc):
@@ -147,6 +149,14 @@ def test_load_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(DocumentError):
         load_algebra(bad)
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"dimension": 2, "tail": ' + "[" * 1000 + "]" * 1000 + "}")
+    with pytest.raises(DocumentError, match="deep.json is nested too deeply"):
+        load_algebra(deep)
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes('{"dimension": 2, "tail": [[1, 0]]}'.encode("utf-16"))
+    with pytest.raises(DocumentError, match="utf16.json is not UTF-8 text"):
+        load_algebra(utf16)
 
 
 def test_canonical_document_reclassifies_identically():

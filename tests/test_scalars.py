@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from cyclic_leibniz.scalars import (
     canonical_key,
     checked_tolerance,
     format_complex,
+    inverse_root,
     parse_complex,
-    principal_root,
     roots_of_unity,
     snap,
 )
@@ -25,6 +26,25 @@ class TestCheckedTolerance:
     def test_rejected_with_value_error(self, eps):
         with pytest.raises(ValueError):
             checked_tolerance(eps)
+
+    @pytest.mark.parametrize(
+        "eps", [np.float32(1e-6), np.float64(1e-9), np.int64(2), Fraction(1, 10**9)],
+        ids=["float32", "float64", "int64", "fraction"],
+    )
+    def test_real_numbers_accepted(self, eps):
+        # float32 once met sys.float_info.max in float32 and overflowed with a warning
+        assert checked_tolerance(eps) == float(eps)
+
+    @pytest.mark.parametrize(
+        "eps", [True, False, None, "1", "1e-9", 1j, [1e-9], {"eps": 1e-9}, "x" * 500],
+        ids=["true", "false", "none", "str-int", "str-float", "complex", "list", "dict",
+             "long-str"],
+    )
+    def test_non_numbers_rejected(self, eps):
+        prefix = "tolerance must be a number, got "
+        with pytest.raises(ValueError, match="^" + prefix) as caught:
+            checked_tolerance(eps)
+        assert len(str(caught.value)) <= len(prefix) + 40
 
     def test_huge_value_echo_is_clipped(self):
         with pytest.raises(ValueError, match=r"^tolerance must be positive") as caught:
@@ -82,41 +102,34 @@ class TestRootsOfUnity:
         assert approx_eq(product, (-1) ** (m + 1), 1e-9)
 
 
-class TestPrincipalRoot:
+class TestInverseRoot:
     def test_inverse_square_root(self):
-        r = principal_root(4, -1, 2)
+        r = inverse_root(4, 2)
         assert approx_eq(r, 0.5)
-        assert approx_eq(r**2, principal_root(4, -1, 1))
+        assert approx_eq(r**2, inverse_root(4, 1))
 
     def test_one_is_fixed(self):
-        for p, q in [(1, 1), (-3, 2), (5, 7), (0, 4)]:
-            assert approx_eq(principal_root(1, p, q), 1)
+        for q in [1, 2, 4, 7]:
+            assert approx_eq(inverse_root(1, q), 1)
 
     def test_principal_branch_of_minus_one(self):
-        r = principal_root(-1, 1, 2)
-        assert approx_eq(r, 1j)
+        r = inverse_root(-1, 2)
+        assert approx_eq(r, -1j)
         assert approx_eq(r**2, -1)
-
-    def test_zero_base(self):
-        assert principal_root(0, 2, 3) == 0
-        assert principal_root(0, 0, 3) == 1
-        with pytest.raises(ZeroDivisionError):
-            principal_root(0, -1, 2)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
-            principal_root(2, 1, 0)
+            inverse_root(2, 0)
 
     def test_power_consistency(self):
-        # r = x^(p/q) satisfies r^q = x^p, checked at the scale of x^p
+        # r = x^(-1/q) satisfies r^q = 1/x, checked at the scale of 1/x
         rng = np.random.default_rng(11)
         for _ in range(1000):
             modulus = 10.0 ** rng.uniform(-3, 3)
             x = modulus * cmath.exp(2j * math.pi * rng.random())
-            p = int(rng.integers(-2, 3))
             q = int(rng.integers(1, 4))
-            r = principal_root(x, p, q)
-            target = x**p
+            r = inverse_root(x, q)
+            target = 1 / x
             assert abs(r**q - target) <= 1e-9 * max(1.0, abs(target))
 
 
