@@ -176,23 +176,38 @@ def leibniz_check(table: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:
 
     With T the table and basis vectors x, y, z at indices i, j, k, the three
     products are x(yz) = sum_m T[j,k,m] T[i,m,:], (xy)z = sum_m T[i,j,m]
-    T[m,k,:] and y(xz) = sum_m T[i,k,m] T[j,m,:].  The first and the third
-    are two readings of one shared product M[a,b,c,:] = sum_m T[a,b,m]
-    T[c,m,:], so the check costs two (n^2, n) @ (n, n^2) matmuls: M, and the
-    one for (xy)z.  A companion table is zero outside T[0], which would make
-    the check cheaper still, but the check stays generic over any (n, n, n)
-    table: an audit that assumed the companion structure would assume what
-    it checks, and could not audit hand-injected tables.
+    T[m,k,:] and y(xz) = sum_m T[i,k,m] T[j,m,:].  Let S be the set of
+    indices i with T[i] nonzero, read from the table itself:
+
+    * every product vanishes unless i is in S, so the residual of every
+      triple with i outside S is exactly 0;
+    * x(yz) and y(xz) vanish unless j is in S;
+    * the sum over m in (xy)z runs over S only.
+
+    So the check loops over i in S, and each step costs O(|S| n^3) work and
+    O(n^3) memory.  A companion table is zero outside T[0], so |S| = 1; a
+    dense table still gets the full check.  Nothing here assumes the
+    companion structure: an audit that did would assume what it checks, and
+    could not audit hand-injected tables.  (xy)z is an einsum, not a rank-|S|
+    matmul, which OpenBLAS would run on a second thread for no gain.
     """
     n = table.shape[0]
     if table.shape != (n, n, n):
         raise ValueError(f"table must have shape (n, n, n), got {table.shape}")
-    pairs = table.reshape(n * n, n)
-    M = (pairs @ table.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
-    lhs = M.transpose(2, 0, 1, 3)  # x(yz)[i,j,k] = M[j,k,i]
-    xy_z = (pairs @ table.reshape(n, n * n)).reshape(n, n, n, n)
-    rhs = xy_z + M.transpose(0, 2, 1, 3)  # y(xz)[i,j,k] = M[i,k,j]
-    return CheckReport.of(np.max(np.abs(lhs - rhs), axis=3), eps)
+    S = np.flatnonzero(table.reshape(n, n * n).any(axis=1))
+    s = len(S)
+    TS = table[S]
+    rows = TS.reshape(s * n, n)  # rows T[j, k, :] for j in S
+    cols = TS.transpose(1, 0, 2).reshape(n, s * n)  # [m, (j, r)] = T[j, m, r]
+    residuals = np.zeros((n, n, n))
+    for i in S:
+        Ti = table[i]
+        rhs = np.einsum("jm,mkr->jkr", Ti[:, S], TS)  # (xy)z at (i, j, k)
+        y_xz = (Ti @ cols).reshape(n, s, n).transpose(1, 0, 2)  # at (i, j in S, k)
+        x_yz = (rows @ Ti).reshape(s, n, n)  # at (i, j in S, k)
+        rhs[S] += y_xz - x_yz
+        residuals[i] = np.max(np.abs(rhs), axis=2)
+    return CheckReport.of(residuals, eps)
 
 
 # build(n, tail, eps): the algebra with a*a^n = sum(tail[i-2] * a^i)

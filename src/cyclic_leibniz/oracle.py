@@ -98,24 +98,42 @@ def explicit_iso_check(A: CyclicAlgebra, B: CyclicAlgebra, x, y) -> CheckReport:
     intermediate values far above unit size, and only the relative
     disagreement is meaningful.  A failed report's ``where`` is the worst
     basis pair (i, j), 1-based.  Raises NotAGeneratorError if either power
-    basis is singular.
+    basis is singular, naming x when both are.
     """
     if A.n != B.n:
         raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
+    return _map_checker(A, B, y)(x)
+
+
+def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
+    """``explicit_iso_check(A, B, x, y)`` as a function of x alone.
+
+    y's side -- its power basis, its generator test and B's companion
+    matrix -- is built once, so a search over many x pays for it once.  A
+    dependent y is reported only after x passes its own test.
+    """
     eps = max(A.eps, B.eps)
-    PX = A.power_basis(x)
     PY = B.power_basis(y)
-    for P, name in ((PX, "x"), (PY, "y")):
-        if _dependent(P.T, eps):
-            raise NotAGeneratorError(f"power basis of {name} is numerically dependent")
-    F = np.linalg.solve(PX, PY).T  # F @ PX.T = PY.T
-    # f(a a^j) is column j of F L_a; f(a^i a^j) = 0 for i >= 2 (a^i left-annihilates)
-    FL = F @ A.companion()
-    rhs = np.einsum("i,rj->ijr", F[0, :], B.companion() @ F)  # f(a^i) f(a^j)
-    residuals = np.max(np.abs(rhs), axis=2)
-    scale = max(1.0, float(np.max(np.abs(FL))), float(np.max(residuals)))
-    residuals[0] = np.max(np.abs(FL.T - rhs[0]), axis=1)
-    return CheckReport.of(residuals / scale, eps)
+    y_dependent = _dependent(PY.T, eps)
+    LA = A.companion()
+    LB = B.companion()
+
+    def check(x) -> CheckReport:
+        PX = A.power_basis(x)
+        if _dependent(PX.T, eps):
+            raise NotAGeneratorError("power basis of x is numerically dependent")
+        if y_dependent:
+            raise NotAGeneratorError("power basis of y is numerically dependent")
+        F = np.linalg.solve(PX, PY).T  # F @ PX.T = PY.T
+        # f(a a^j) is column j of F L_a; f(a^i a^j) = 0 for i >= 2 (a^i left-annihilates)
+        FL = F @ LA
+        rhs = np.einsum("i,rj->ijr", F[0, :], LB @ F)  # f(a^i) f(a^j)
+        residuals = np.max(np.abs(rhs), axis=2)
+        scale = max(1.0, float(np.max(np.abs(FL))), float(np.max(residuals)))
+        residuals[0] = np.max(np.abs(FL.T - rhs[0]), axis=1)
+        return CheckReport.of(residuals / scale, eps)
+
+    return check
 
 
 def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
@@ -126,7 +144,8 @@ def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
     form (c1 * omega) * a are exhaustive once c1 normalizes A's leading law
     coefficient and omega runs over the relevant roots of unity.  That law
     has its algebra's leading tail index, so algebras whose leading indices
-    differ are not isomorphic.
+    differ are not isomorphic.  Every candidate maps to the one y = cB * b,
+    whose side of the map check is built once.
     """
     if A.n != B.n:
         return False
@@ -139,12 +158,9 @@ def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
         return explicit_iso_check(A, B, A.generator(), B.generator()).passed
     cA = inverse_root(A.tail[kA - 2], A.n - kA + 1)
     cB = inverse_root(B.tail[kB - 2], B.n - kB + 1)
-    y = cB * B.generator()
-    for omega in roots_of_unity(A.n - kA + 1):
-        x = (cA * omega) * A.generator()
-        if explicit_iso_check(A, B, x, y).passed:
-            return True
-    return False
+    check = _map_checker(A, B, cB * B.generator())
+    return any(check((cA * omega) * A.generator()).passed
+               for omega in roots_of_unity(A.n - kA + 1))
 
 
 def near_boundary(tail, eps: float = DEFAULT_EPS) -> bool:

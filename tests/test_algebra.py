@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -203,6 +205,57 @@ class TestVerifyLeibniz:
                 assert reference[i - 1, j - 1, k - 1] == pytest.approx(
                     reference.max(), rel=0, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_matches_einsum_reference_when_some_slices_vanish(self, n):
+        # nonzero slices on a proper subset S: the kernel reads S from the table
+        rng = np.random.default_rng(500 + n)
+        for _ in range(6):
+            S = rng.permutation(n)[: int(rng.integers(1, n))]
+            table = np.zeros((n, n, n), dtype=complex)
+            table[S] = rng.normal(size=(len(S), n, n)) + 1j * rng.normal(size=(len(S), n, n))
+            self.assert_matches_reference(table)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_worst_triple_where_only_xy_z_survives(self, n):
+        # with i in S and j outside S, x(yz) and y(xz) vanish and the residual
+        # is |(xy)z| alone; large T[i, j, m] (j outside S, m in S) make it the worst
+        rng = np.random.default_rng(600 + n)
+        for _ in range(6):
+            S = np.sort(rng.permutation(n)[: int(rng.integers(1, n))])
+            outside = np.setdiff1d(np.arange(n), S)
+            table = np.zeros((n, n, n), dtype=complex)
+            table[S] = rng.normal(size=(len(S), n, n)) + 1j * rng.normal(size=(len(S), n, n))
+            table[np.ix_(S, outside, S)] *= 100
+            report = self.assert_matches_reference(table)
+            i, j, _ = report.where
+            assert i - 1 in S and j - 1 not in S
+
+    def test_all_zero_table_passes_exactly(self):
+        report = leibniz_check(np.zeros((4, 4, 4), dtype=complex))
+        assert report == CheckReport(True, 0.0)
+
+    @staticmethod
+    def assert_matches_reference(table):
+        reference = einsum_leibniz_check(table)
+        report = leibniz_check(table)
+        assert (report.passed, report.where) == (reference.passed, reference.where)
+        # the sums run in another order: agreement to rounding, relative to size
+        assert report.residual == pytest.approx(reference.residual, rel=1e-12, abs=1e-12)
+        return report
+
+    def test_memory_is_cubic_in_dimension(self):
+        # a companion table has one nonzero slice, so no (n, n, n, n) array is
+        # needed: the peak stays within eight complex n^3 arrays
+        n = 40
+        A = build(n, random_tail(np.random.default_rng(40), n))
+        tracemalloc.start()
+        try:
+            assert A.verify_leibniz().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * n**3
 
     def test_table_shape_checked(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from cyclic_leibniz.oracle import (
     law_leading_index,
     near_boundary,
 )
+from cyclic_leibniz.scalars import inverse_root, roots_of_unity
 from helpers import random_typed_tail
 
 
@@ -175,6 +176,40 @@ class TestIsoBySearch:
             pairs += 1
             assert not iso_by_search(build(n, tail_a), build(n, tail_b))
 
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 16])
+    def test_equals_explicit_checks_of_every_candidate(self, n):
+        # the search builds y's side once; each verdict must still be the
+        # map check of each candidate x_omega against y, one call at a time
+        rng = np.random.default_rng(700 + n)
+        for trial in range(20):
+            A = build(n, random_typed_tail(rng, n))
+            k = next(i for i, t in enumerate(A.tail, start=2) if t != 0)
+            if trial % 2 == 0:
+                s = (0.5 * 4 ** rng.random()) * np.exp(2j * np.pi * rng.random())
+                B = build(n, embed_law(generator_law(A, s), n))
+            else:
+                tail = random_typed_tail(rng, n)
+                tail[: k - 2] = [0] * (k - 2)
+                tail[k - 2] = tail[k - 2] or 1.5
+                B = build(n, tail)
+            cA = inverse_root(A.tail[k - 2], n - k + 1)
+            y = inverse_root(B.tail[k - 2], n - k + 1) * B.generator()
+            expected = any(explicit_iso_check(A, B, (cA * omega) * A.generator(), y).passed
+                           for omega in roots_of_unity(n - k + 1))
+            assert iso_by_search(A, B) == expected
+
+    def test_dependent_x_is_named_before_dependent_y(self):
+        # the candidate c*a with c = 1e-300 has c^2 = 0: a dependent power basis
+        tiny = build(3, [0, 1e300])
+        fine = build(3, [0, 1])
+        for A, B, name in ((tiny, fine, "x"), (tiny, tiny, "x"), (fine, tiny, "y")):
+            with pytest.raises(NotAGeneratorError, match=f"power basis of {name} "):
+                iso_by_search(A, B)
+        a, square = fine.generator(), fine.basis_element(2)  # a^2 generates nothing
+        for x, y, name in ((square, a, "x"), (square, square, "x"), (a, square, "y")):
+            with pytest.raises(NotAGeneratorError, match=f"power basis of {name} "):
+                explicit_iso_check(fine, fine, x, y)
+
     def test_agrees_with_canonical_route(self):
         rng = np.random.default_rng(5)
         for trial in range(150):
@@ -302,3 +337,20 @@ class TestOracleIndependence:
                          oracle.explicit_iso_check, oracle.iso_by_search,
                          oracle._leading_tail_index):
             assert not _names(function.__code__) & defined, function.__name__
+
+
+def _classification_names() -> set[str]:
+    """The module-level functions, classes and constants classification defines."""
+    defined = {"classification"}
+    for node in ast.parse(inspect.getsource(classification)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return defined
+
+
+def test_map_checker_names_nothing_from_classification():
+    # explicit_iso_check and iso_by_search delegate their arithmetic to it
+    assert not _names(oracle._map_checker.__code__) & _classification_names()
