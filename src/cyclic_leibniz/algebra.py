@@ -132,16 +132,21 @@ class CyclicAlgebra:
         return leibniz_check(self.multiplication_table(), self.eps)
 
     def cayley_hamilton_residual(self) -> float:
-        """Max-norm of f(L_a), zero in exact arithmetic.
+        """max|f(L_a)| / max(1, max|L_a^n|), zero in exact arithmetic.
 
         f(t) = t^n - alpha_n t^(n-1) - ... - alpha_2 t is the characteristic
-        polynomial of L_a (a is a cyclic vector for it).
+        polynomial of L_a (a is a cyclic vector for it).  The powers L_a, ...,
+        L_a^n come from one running product; the residual is relative to the
+        largest term, so tails of any scale are judged alike.
         """
         L = self.companion()
-        f_of_L = np.linalg.matrix_power(L, self.n)
-        for i in range(2, self.n + 1):
-            f_of_L -= self.tail[i - 2] * np.linalg.matrix_power(L, i - 1)
-        return float(np.max(np.abs(f_of_L)))
+        power = L
+        f_of_L = np.zeros_like(L)
+        for alpha in self.tail:  # alpha_i against power = L^(i-1)
+            f_of_L -= alpha * power
+            power = power @ L
+        f_of_L += power
+        return float(np.max(np.abs(f_of_L))) / max(1.0, float(np.max(np.abs(power))))
 
 
 @dataclass(frozen=True)

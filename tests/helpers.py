@@ -1,4 +1,4 @@
-"""Shared random-sampling helpers for the test suite."""
+"""Shared random-sampling helpers and reference formulas for the test suite."""
 
 import numpy as np
 
@@ -20,3 +20,12 @@ def random_typed_tail(rng, n, mod_lo=0.1, mod_hi=3.0, nilpotent_fraction=0.0):
             modulus = mod_lo * (mod_hi / mod_lo) ** rng.random()
             tail[i - 2] = modulus * np.exp(2j * np.pi * rng.random())
     return tail
+
+
+def cayley_hamilton_reference(A):
+    """max|f(L_a)| / max(1, max|L_a^n|), each power of L_a taken on its own."""
+    L = A.companion()
+    L_n = np.linalg.matrix_power(L, A.n)
+    f_of_L = L_n - sum(alpha * np.linalg.matrix_power(L, i - 1)
+                       for i, alpha in enumerate(A.tail, start=2))
+    return float(np.max(np.abs(f_of_L))) / max(1.0, float(np.max(np.abs(L_n))))

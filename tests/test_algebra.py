@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from cyclic_leibniz.algebra import CheckReport, build, leibniz_check
 from cyclic_leibniz.scalars import DEFAULT_EPS
-from helpers import random_tail
+from helpers import cayley_hamilton_reference, random_tail, random_typed_tail
 
 
 def einsum_residuals(table):
@@ -274,3 +274,23 @@ class TestCayleyHamilton:
         rng = np.random.default_rng(8)
         for _ in range(50):
             assert build(8, random_tail(rng, 8)).cayley_hamilton_residual() < 1e-6
+
+    def test_matches_matrix_power_reference(self):
+        # the running product and the separately taken powers round differently,
+        # but both residuals are relative, so they differ by a few ulps of one
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(2, 25))
+            for tail in (random_tail(rng, n), random_typed_tail(rng, n)):
+                A = build(n, tail)
+                assert abs(A.cayley_hamilton_residual() - cayley_hamilton_reference(A)) \
+                    <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 24])
+    def test_nilpotent_tails_exact_zero_like_reference(self, n):
+        A = build(n, [0] * (n - 1))
+        assert A.cayley_hamilton_residual() == cayley_hamilton_reference(A) == 0.0
+
+    def test_generic_tail_of_dimension_200(self):
+        # all ones: max|f(L_a)| is near 1e44, far below the size of L_a^n
+        assert build(200, [1] * 199).cayley_hamilton_residual() < 1e-9

@@ -190,6 +190,14 @@ class TestIso:
             ok = "verdict: isomorphic" in out and "search oracle: agrees" in out
             assert code == (0 if ok else 1)
 
+    def test_overflowing_power_basis_warns_nothing(self, tmp_path, capsys):
+        # the search's candidate is 1e8 * a, whose powers overflow: the basis
+        # is dependent, and numpy's overflow warnings stay off stderr
+        path = write_doc(tmp_path, "a.json", 40, [0] * 38 + [1e-8])
+        code, out, err = run(capsys, "iso", path, path, "--check")
+        assert (code, err) == (1, "")
+        assert "search oracle: FAILED" in out
+
 
 class TestOrbit:
     def test_plus_minus_members(self, tmp_path, capsys):
@@ -304,14 +312,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", path)
         assert code == 0
 
+    def test_large_tail_of_dimension_24_passes(self, tmp_path, capsys):
+        # max|f(L_a)| is about 0.5 here, judged against max|L_a^24|
+        path = write_doc(tmp_path, "a.json", 24, [3.3] * 23)
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 0
+        assert "cayley-hamilton: pass" in out
+
     def test_tight_tolerance_can_fail(self, tmp_path, capsys):
-        # this dim-5 tail has a float cayley residual near 1e-11: fine at the
-        # default tolerance, a reported failure at 1e-15
+        # this dim-5 tail has a relative float cayley residual near 1e-16: fine
+        # at the default tolerance, a reported failure at 1e-17
         tail = [2.971 + 3.924j, -4.146 - 9.97j, 9.469 - 4.032j, -3.72 + 7.834j]
         path = write_doc(tmp_path, "a.json", 5, tail)
         code, out, _ = run(capsys, "verify", path)
         assert code == 0
-        code, out, _ = run(capsys, "verify", path, "--tolerance", "1e-15")
+        code, out, _ = run(capsys, "verify", path, "--tolerance", "1e-17")
         assert code == 1
         assert "cayley-hamilton: FAIL" in out
         assert "residual" in out
@@ -400,6 +415,11 @@ class TestFuzz:
         code, out, _ = run(capsys, "fuzz", "--trials", "0")
         assert code == 0
 
+    def test_negative_seed_names_the_field(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--trials", "5", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_byte_identical_reports(self, capsys):
         args = ("fuzz", "--trials", "50", "--dim-max", "4", "--seed", "9")
         _, first, _ = run(capsys, *args)
@@ -420,7 +440,7 @@ EXACT_DOCS = {
     "cube.json": (4, [1, 1, 1]),
     "nil.json": (3, [0, 0]),
     "two.json": (2, [1]),
-    # not integral: c-h on it rounds once, to a residual of 2^-49
+    # not integral: its relative c-h residual is rounding noise, about 1.7e-16
     "inexact.json": (3, [3.3, 1.7]),
 }
 CUBE_GAMMA = [[-0.5, -0.866025404], [-0.5, 0.866025404]]
@@ -499,11 +519,11 @@ EXACT_CASES = {
          "leibniz_passed": True, "leibniz_residual": 0.0, "tolerance": 1e-09},
     ),
     "verify-fail": (
-        ["verify", "inexact.json", "--tolerance", "1e-15"], 1,
-        "tolerance: 1e-15\ndimension: 3\nleibniz: pass (max residual 0.000e+00)\n"
-        "cayley-hamilton: FAIL (residual 1.776e-15)\n",
-        {"cayley_passed": False, "cayley_residual": 2.0 ** -49, "dimension": 3,
-         "leibniz_passed": True, "leibniz_residual": 0.0, "tolerance": 1e-15},
+        ["verify", "inexact.json", "--tolerance", "1e-17"], 1,
+        "tolerance: 1e-17\ndimension: 3\nleibniz: pass (max residual 0.000e+00)\n"
+        "cayley-hamilton: FAIL (residual 1.739e-16)\n",
+        {"cayley_passed": False, "cayley_residual": 1.7392243984924373e-16, "dimension": 3,
+         "leibniz_passed": True, "leibniz_residual": 0.0, "tolerance": 1e-17},
     ),
     "table": (
         ["table", "3"], 0,

@@ -286,6 +286,8 @@ class TestFuzz:
             fuzz(-1)
         with pytest.raises(ValueError):
             fuzz(10, dim_max=1)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            fuzz(10, seed=-1)
 
     def test_summary_mentions_verdict(self, capsys):
         assert main(["fuzz", "--trials", "10", "--dim-max", "3", "--seed", "1"]) == 0
@@ -352,5 +354,6 @@ def _classification_names() -> set[str]:
 
 
 def test_map_checker_names_nothing_from_classification():
-    # explicit_iso_check and iso_by_search delegate their arithmetic to it
-    assert not _names(oracle._map_checker.__code__) & _classification_names()
+    # the decision functions delegate their arithmetic to these helpers
+    for function in (oracle._map_checker, oracle._power_basis):
+        assert not _names(function.__code__) & _classification_names(), function.__name__
