@@ -13,12 +13,16 @@ which this representation encodes by not having a slot for it.
 Left multiplication by a is the companion operator L_a; for a general
 element x = c_1 a + ... + c_n a^n, left multiplication is L_x = c_1 L_a
 because every a^j with j >= 2 is a left annihilator.  With that product the
-left-multiplication-is-a-derivation identity
+Leibniz identity
 
-    x(yz) = (xy)z + y(xz)
+    x(yz) = (xy)z + y(xz),  that is  [L_x, L_y] = L_(xy),
 
-holds for every choice of tail; ``verify_leibniz`` re-checks it from first
-principles on all n^3 basis triples rather than trusting the construction.
+holds for every choice of tail: each left multiplication is a derivation.
+``verify_leibniz`` re-checks it from first principles on all n^3 basis
+triples rather than trusting the construction.  A linear map f with matrix
+F is an isomorphism onto another such algebra iff it is invertible and
+intertwines left multiplications, F L_u = L_(f(u)) F for every basis vector
+u; the oracle's explicit map check tests that identity.
 
 Elements are plain coordinate vectors (numpy arrays of complex) relative to
 {a, a^2, ..., a^n}.  Basis indices in reports are 1-based to match the
@@ -175,23 +179,18 @@ def leibniz_check(table: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:
     """Check the Leibniz identity for an arbitrary multiplication table.
 
     ``table[i, j, :]`` holds the coordinates of the product of basis vectors
-    i and j; the product of general elements is the bilinear extension.  The
-    identity is trilinear, so checking all basis triples covers the whole
-    algebra.
+    i and j, so T = table has T[i] = transpose of the left multiplication
+    L_i.  The identity x(yz) = (xy)z + y(xz) says that every L_x is a
+    derivation, [L_i, L_j] = L_(e_i e_j); on the slices that reads
 
-    With T the table and basis vectors x, y, z at indices i, j, k, the three
-    products are x(yz) = sum_m T[j,k,m] T[i,m,:], (xy)z = sum_m T[i,j,m]
-    T[m,k,:] and y(xz) = sum_m T[i,k,m] T[j,m,:].  Let S be the set of
-    indices i with T[i] nonzero, read from the table itself:
+        T[j] T[i] - T[i] T[j] = sum_m T[i, j, m] T[m],
 
-    * every product vanishes unless i is in S, so the residual of every
-      triple with i outside S is exactly 0;
-    * x(yz) and y(xz) vanish unless j is in S;
-    * the sum over m in (xy)z runs over S only.
-
-    So the check loops over i in S, and each step costs O(|S| n^3) work and
-    O(n^3) memory.  A companion table is zero outside T[0], so |S| = 1; a
-    dense table still gets the full check.  Nothing here assumes the
+    and row k of it is the identity on the basis triple (i, j, k), whose
+    residual is that row's largest entry; the identity is trilinear, so
+    basis triples cover the whole algebra.  With S = {i : T[i] != 0}, every
+    term vanishes unless i is in S, the commutator unless j is in S, and the
+    sum runs over m in S, so each i in S costs O(|S| n^3) work and O(n^3)
+    memory; a companion table has S = {0}.  Nothing here assumes the
     companion structure: an audit that did would assume what it checks, and
     could not audit hand-injected tables.  (xy)z is an einsum, not a rank-|S|
     matmul, which OpenBLAS would run on a second thread for no gain.
@@ -199,19 +198,13 @@ def leibniz_check(table: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:
     n = table.shape[0]
     if table.shape != (n, n, n):
         raise ValueError(f"table must have shape (n, n, n), got {table.shape}")
-    S = np.flatnonzero(table.reshape(n, n * n).any(axis=1))
-    s = len(S)
+    S = np.flatnonzero(table.any(axis=(1, 2)))
     TS = table[S]
-    rows = TS.reshape(s * n, n)  # rows T[j, k, :] for j in S
-    cols = TS.transpose(1, 0, 2).reshape(n, s * n)  # [m, (j, r)] = T[j, m, r]
     residuals = np.zeros((n, n, n))
-    for i in S:
-        Ti = table[i]
-        rhs = np.einsum("jm,mkr->jkr", Ti[:, S], TS)  # (xy)z at (i, j, k)
-        y_xz = (Ti @ cols).reshape(n, s, n).transpose(1, 0, 2)  # at (i, j in S, k)
-        x_yz = (rows @ Ti).reshape(s, n, n)  # at (i, j in S, k)
-        rhs[S] += y_xz - x_yz
-        residuals[i] = np.max(np.abs(rhs), axis=2)
+    for i, Ti in zip(S, TS):
+        R = np.einsum("jm,mkr->jkr", Ti[:, S], TS)  # (xy)z at (i, j, k)
+        R[S] += Ti @ TS - TS @ Ti  # y(xz) - x(yz) at (i, j in S, k)
+        residuals[i] = np.max(np.abs(R), axis=2)
     return CheckReport.of(residuals, eps)
 
 

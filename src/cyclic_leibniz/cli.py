@@ -34,6 +34,12 @@ def _json_pair(value) -> list[float]:
     return [value.real + 0.0, value.imag + 0.0]
 
 
+def _tolerance_text(eps: float) -> str:
+    """eps as ``:g`` writes it if that reads back as eps, else its shortest exact text."""
+    text = f"{eps:g}"
+    return text if float(text) == eps else repr(eps)
+
+
 def _flag_eps(args) -> float:
     """Tolerance of a command that reads no document: the flag's, else the default."""
     return DEFAULT_EPS if args.tolerance is None else args.tolerance
@@ -212,7 +218,7 @@ def fuzz_lines(r: dict, args) -> list[str]:
         lines.append(
             "reproduce with: cyclic-leibniz fuzz "
             f"--trials {r['trials']} --dim-max {args.dim_max} "
-            f"--seed {args.seed} --tolerance {r['tolerance']:g}"
+            f"--seed {args.seed} --tolerance {_tolerance_text(r['tolerance'])}"
         )
     return lines
 
@@ -300,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         print(json.dumps(record, indent=2, sort_keys=True, default=_json_pair))
     else:
-        print("\n".join([f"tolerance: {eps:g}", *args.lines(record, args)]))
+        print("\n".join([f"tolerance: {_tolerance_text(eps)}", *args.lines(record, args)]))
     return code
 
 

@@ -105,13 +105,16 @@ def explicit_iso_check(A: CyclicAlgebra, B: CyclicAlgebra, x, y) -> CheckReport:
 
     Builds the unique linear map f with f(x^i) = y^i and reports the largest
     residual of f(uv) - f(u)f(v) over all pairs (u, v) of A's standard basis
-    vectors.  The residual is measured relative to the magnitude of the
-    compared products (floored at one), so the verdict is scale-invariant:
-    generators mapping between very differently scaled laws produce
-    intermediate values far above unit size, and only the relative
-    disagreement is meaningful.  A failed report's ``where`` is the worst
-    basis pair (i, j), 1-based.  Raises NotAGeneratorError if either power
-    basis is singular, naming x when both are.
+    vectors.  With F the matrix of f and L_u left multiplication by u, that
+    is the intertwining identity F L_u = L_(f(u)) F: the residual of (u, v)
+    is the largest entry of column v of the difference.  It is measured
+    relative to the magnitude of the compared products (floored at one), so
+    the verdict is scale-invariant: generators mapping between very
+    differently scaled laws produce intermediate values far above unit
+    size, and only the relative disagreement is meaningful.  A failed
+    report's ``where`` is the worst basis pair (i, j), 1-based.  Raises
+    NotAGeneratorError if either power basis is singular, naming x when
+    both are.
     """
     if A.n != B.n:
         raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
@@ -124,6 +127,12 @@ def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
     y's side -- its power basis, its generator test and B's companion
     matrix -- is built once, so a search over many x pays for it once.  A
     dependent y is reported only after x passes its own test.
+
+    In A, left multiplication by a^i is zero for i >= 2; in B, left
+    multiplication by w is w_1 L_b.  So at u = a the identity reads
+    F L_a = F[0, 0] L_b F, and at u = a^(i+1), i >= 1, it reads
+    0 = F[0, i] L_b F, whose residuals are the outer product of |F[0]| with
+    the column maxima of |L_b F|.  Each candidate takes O(n^2) memory.
     """
     eps = max(A.eps, B.eps)
     PY, y_dependent = _power_basis(B, y, eps)
@@ -137,12 +146,11 @@ def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
         if y_dependent:
             raise NotAGeneratorError("power basis of y is numerically dependent")
         F = np.linalg.solve(PX, PY).T  # F @ PX.T = PY.T
-        # f(a a^j) is column j of F L_a; f(a^i a^j) = 0 for i >= 2 (a^i left-annihilates)
         FL = F @ LA
-        rhs = np.einsum("i,rj->ijr", F[0, :], LB @ F)  # f(a^i) f(a^j)
-        residuals = np.max(np.abs(rhs), axis=2)
+        LBF = LB @ F
+        residuals = np.outer(np.abs(F[0]), np.max(np.abs(LBF), axis=0))
         scale = max(1.0, float(np.max(np.abs(FL))), float(np.max(residuals)))
-        residuals[0] = np.max(np.abs(FL.T - rhs[0]), axis=1)
+        residuals[0] = np.max(np.abs(FL - F[0, 0] * LBF), axis=0)
         return CheckReport.of(residuals / scale, eps)
 
     return check
@@ -232,6 +240,8 @@ def fuzz(
         raise ValueError(f"seed must be a non-negative integer, got {clipped_repr(seed)}")
     if trials > 0 and dim_max < 2:
         raise ValueError(f"dim_max must be at least 2, got {dim_max}")
+    if trials > 0 and dim_max > 2**63 - 1:  # numpy draws dimensions as int64
+        raise ValueError(f"dim_max must be at most 2**63 - 1, got {clipped_repr(dim_max)}")
 
     failures: list[str] = []
     skipped = 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from cyclic_leibniz.algebra import CheckReport
+
 
 def random_tail(rng, n, mod_max=10.0):
     """Unstructured tail with entry moduli up to mod_max."""
@@ -29,3 +31,20 @@ def cayley_hamilton_reference(A):
     f_of_L = L_n - sum(alpha * np.linalg.matrix_power(L, i - 1)
                        for i, alpha in enumerate(A.tail, start=2))
     return float(np.max(np.abs(f_of_L))) / max(1.0, float(np.max(np.abs(L_n))))
+
+
+def map_check_reference(A, B, x, y):
+    """explicit_iso_check's report, from f(e_i e_j) - f(e_i) f(e_j) one pair at a time.
+
+    f is the linear map with f(x^k) = y^k; the residuals are scaled by the
+    largest compared product, floored at one.
+    """
+    F = np.linalg.solve(A.power_basis(x), B.power_basis(y)).T
+    n = A.n
+    basis = np.eye(n, dtype=complex)
+    images = [[F @ A.multiply(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    products = [[B.multiply(F[:, i], F[:, j]) for j in range(n)] for i in range(n)]
+    residuals = np.array([[np.max(np.abs(images[i][j] - products[i][j])) for j in range(n)]
+                          for i in range(n)])
+    scale = max(1.0, max(np.max(np.abs(v)) for row in images + products for v in row))
+    return CheckReport.of(residuals / scale, max(A.eps, B.eps))

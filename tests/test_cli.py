@@ -420,6 +420,23 @@ class TestFuzz:
         assert (code, out) == (2, "")
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
+    def test_dim_max_beyond_int64_names_the_field(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--trials", "5",
+                             "--dim-max", "9223372036854775808")
+        assert (code, out) == (2, "")
+        assert err == ("error: dim_max must be at most 2**63 - 1, "
+                       "got 9223372036854775808\n")
+
+    def test_tolerance_reads_back_exactly(self, capsys):
+        # :g keeps six significant digits: 1.23457e-17 is another float
+        code, out, _ = run(capsys, "fuzz", "--trials", "40", "--dim-max", "6",
+                           "--tolerance", "1.23456789e-17")
+        assert code == 1
+        lines = out.splitlines()
+        assert float(lines[0].removeprefix("tolerance: ")) == 1.23456789e-17
+        assert lines[-1].startswith("reproduce with: ")
+        assert float(lines[-1].split("--tolerance ")[1]) == 1.23456789e-17
+
     def test_byte_identical_reports(self, capsys):
         args = ("fuzz", "--trials", "50", "--dim-max", "4", "--seed", "9")
         _, first, _ = run(capsys, *args)

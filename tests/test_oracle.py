@@ -20,7 +20,7 @@ from cyclic_leibniz.oracle import (
     near_boundary,
 )
 from cyclic_leibniz.scalars import inverse_root, roots_of_unity
-from helpers import random_typed_tail
+from helpers import map_check_reference, random_typed_tail
 
 
 class TestLawByLinearSolve:
@@ -127,6 +127,45 @@ class TestExplicitIsoCheck:
         with pytest.raises(ValueError):
             explicit_iso_check(build(2, [1]), build(3, [1, 0]),
                                [1, 0], [1, 0, 0])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_matches_product_by_product_reference(self, n):
+        rng = np.random.default_rng(900 + n)
+        verdicts = set()
+        for trial in range(20):
+            A = build(n, random_typed_tail(rng, n))
+            c1 = (0.5 * 4 ** rng.random()) * np.exp(2j * np.pi * rng.random())
+            x = 0.35 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            x[0] = c1
+            if trial % 2 == 0:  # A's law at x: x^k -> b^k is an isomorphism
+                B = build(n, embed_law(generator_law(A, c1), n))
+            else:  # a same-type tail drawn on its own
+                k = next(i for i, t in enumerate(A.tail, start=2) if t != 0)
+                tail = random_typed_tail(rng, n)
+                tail[: k - 2] = [0] * (k - 2)
+                tail[k - 2] = tail[k - 2] or 1.5
+                B = build(n, tail)
+            report = explicit_iso_check(A, B, x, B.generator())
+            expected = map_check_reference(A, B, x, B.generator())
+            assert (report.passed, report.where) == (expected.passed, expected.where)
+            assert np.isclose(report.residual, expected.residual, rtol=1e-12, atol=1e-12)
+            verdicts.add(report.passed)
+        assert verdicts == {True, False}
+
+    def test_memory_is_quadratic_in_dimension(self):
+        # the check holds n-by-n matrices only; an n^3 complex tensor of
+        # f(a^i) f(a^j) would peak near 52 MB at n = 128
+        n = 128
+        A = build(n, [1] * (n - 1))
+        a = A.generator()
+        explicit_iso_check(A, A, a, a)  # first call pays for lazy imports
+        tracemalloc.start()
+        try:
+            assert explicit_iso_check(A, A, a, a).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 16 * n * n
 
 
 class TestIsoBySearch:
@@ -288,6 +327,10 @@ class TestFuzz:
             fuzz(10, dim_max=1)
         with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
             fuzz(10, seed=-1)
+
+    def test_dim_max_beyond_int64_names_the_field(self):
+        with pytest.raises(ValueError, match="^dim_max must be at most 2\\*\\*63 - 1, got "):
+            fuzz(10, dim_max=2**63)
 
     def test_summary_mentions_verdict(self, capsys):
         assert main(["fuzz", "--trials", "10", "--dim-max", "3", "--seed", "1"]) == 0
