@@ -15,9 +15,8 @@ imported from its module:
   file format and the command-line interface.
 """
 
-from .algebra import CyclicAlgebra, NotAGeneratorError, build
+from .algebra import NotAGeneratorError, build
 from .classification import (
-    CanonicalForm,
     embed_law,
     generator_law,
     isomorphic,
@@ -31,10 +30,8 @@ from .scalars import format_complex
 __version__ = "0.1.0"
 
 __all__ = [
-    "CyclicAlgebra",
     "NotAGeneratorError",
     "build",
-    "CanonicalForm",
     "embed_law",
     "generator_law",
     "isomorphic",

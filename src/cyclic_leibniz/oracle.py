@@ -4,20 +4,22 @@ Everything the classification module derives through closed-form formulas is
 re-derived here from raw products and linear algebra only:
 
 * ``law_by_linear_solve`` recovers a generator's law by expressing x*x^n in
-  the power basis of x via an n-by-n linear solve (no law formula involved);
-  a numerically dependent power basis doubles as a generator test.
+  the power basis of x via an n-by-n linear solve (no law formula involved).
+  ``_power_basis`` is the oracle's one generator test: it returns the basis,
+  or None when the basis is numerically dependent.
 * ``explicit_iso_check`` verifies a claimed isomorphism by building the
-  basis map x^i -> y^i and checking f(uv) = f(u)f(v) on all basis pairs;
-  it returns the ``CheckReport`` that ``algebra.leibniz_check`` does.
+  basis map x^i -> y^i and checking f(uv) = f(u)f(v) on all basis pairs,
+  which in these algebras is the one identity F L_a = F[0, 0] L_b F; it
+  returns the ``CheckReport`` that ``algebra.leibniz_check`` does.
 * ``iso_by_search`` decides isomorphism by searching candidate generators,
   never touching canonical forms.
 * ``fuzz`` runs a seeded randomized campaign asserting that the two routes
   agree everywhere they should, and returns its counts as a ``FuzzReport``
   record that the CLI renders.
 
-None of the first three, nor their helpers, name anything the
-classification module defines (a test walks their code objects to keep it
-so); ``fuzz`` imports it solely to compare answers.  Tail entries within
+No function here but ``fuzz`` names anything the classification module
+defines (a test walks every function's code objects to keep it so);
+``fuzz`` imports it solely to compare answers.  Tail entries within
 NEAR_BOUNDARY_FACTOR * eps of zero sit on the type-detection boundary where
 float answers are undefined by policy; the campaign skips such draws and
 reports the count.
@@ -44,47 +46,42 @@ LAW_AGREEMENT_TOL = 1e-7
 CAYLEY_TOL = 1e-8
 LEAD_DETECT_TOL = 1e-6
 
+# Smallest modulus of the generator scales c1 and s that the campaign draws;
+# generator_law rejects a scale within eps of zero, so eps must stay below it.
+GENERATOR_SCALE_MIN = 0.5
+
 
 def law_by_linear_solve(A: CyclicAlgebra, x) -> np.ndarray | None:
     """Coordinates of x*x^n in the power basis [x, x^2, ..., x^n], or None.
 
-    Solves the n-by-n system directly; returns None when the power basis is
-    numerically dependent (``_dependent``: with each power scaled to unit
-    norm, smallest singular value <= eps * largest), which is exactly the
-    oracle's generator test -- no reference to the leading coordinate is
-    made.
+    Solves the n-by-n system directly; returns None when ``_power_basis``,
+    the oracle's generator test, finds the basis numerically dependent --
+    no reference to the leading coordinate is made.
     """
-    powers, dependent = _power_basis(A, x, A.eps)
-    if dependent:
+    powers = _power_basis(A, x, A.eps)
+    if powers is None:
         return None
     return np.linalg.solve(powers.T, A.multiply(x, powers[-1]))
 
 
-def _power_basis(A: CyclicAlgebra, x, eps: float) -> tuple[np.ndarray, bool]:
-    """A's power basis of x (rows x, ..., x^n) and whether it is ``_dependent``.
+def _power_basis(A: CyclicAlgebra, x, eps: float) -> np.ndarray | None:
+    """A's power basis of x (rows x, ..., x^n), or None if it is dependent.
 
-    Powers that overflow make the basis dependent, so numpy's overflow and
-    invalid-value warnings on the way there are silenced.
+    This is the oracle's generator test.  Each power is divided by its
+    2-norm first, so the test is scale-free: the power basis of c*x is that
+    of x with power j times c^j.  A zero or non-finite norm (one that
+    overflows included) is dependent outright; otherwise the basis is
+    dependent iff its smallest singular value is at most eps times the
+    largest.  Powers that overflow make the basis dependent, so numpy's
+    overflow and invalid-value warnings on the way there are silenced.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         powers = A.power_basis(x)
-        return powers, _dependent(powers.T, eps)
-
-
-def _dependent(P: np.ndarray, eps: float) -> bool:
-    """The oracle's generator test: the columns of P are numerically dependent.
-
-    Each column is divided by its 2-norm first, so the test is scale-free:
-    the power basis of c*x is that of x with column j times c^j.  A zero or
-    non-finite norm (one that overflows included) is dependent outright.
-    Otherwise true iff the smallest singular value is at most eps times the
-    largest.
-    """
-    norms = np.linalg.norm(P, axis=0)
-    if not 0 < norms.min() <= norms.max() < np.inf:  # NaN fails too
-        return True
-    svals = np.linalg.svd(P / norms, compute_uv=False)
-    return svals[-1] <= eps * svals[0]
+        norms = np.linalg.norm(powers.T, axis=0)
+        if not 0 < norms.min() <= norms.max() < np.inf:  # NaN fails too
+            return None
+        svals = np.linalg.svd(powers.T / norms, compute_uv=False)
+        return None if svals[-1] <= eps * svals[0] else powers
 
 
 def law_leading_index(lam: np.ndarray, c1: complex) -> int | None:
@@ -107,12 +104,13 @@ def explicit_iso_check(A: CyclicAlgebra, B: CyclicAlgebra, x, y) -> CheckReport:
     residual of f(uv) - f(u)f(v) over all pairs (u, v) of A's standard basis
     vectors.  With F the matrix of f and L_u left multiplication by u, that
     is the intertwining identity F L_u = L_(f(u)) F: the residual of (u, v)
-    is the largest entry of column v of the difference.  It is measured
-    relative to the magnitude of the compared products (floored at one), so
-    the verdict is scale-invariant: generators mapping between very
-    differently scaled laws produce intermediate values far above unit
-    size, and only the relative disagreement is meaningful.  A failed
-    report's ``where`` is the worst basis pair (i, j), 1-based.  Raises
+    is the largest entry of column v of the difference.  Only u = a can
+    fail (``_map_checker`` says why), so the residuals are one row.  They
+    are measured relative to the magnitude of the compared products
+    (floored at one), so the verdict is scale-invariant: generators mapping
+    between very differently scaled laws produce intermediate values far
+    above unit size, and only the relative disagreement is meaningful.  A
+    failed report's ``where`` is the worst basis pair (1, j), 1-based.  Raises
     NotAGeneratorError if either power basis is singular, naming x when
     both are.
     """
@@ -131,26 +129,30 @@ def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
     In A, left multiplication by a^i is zero for i >= 2; in B, left
     multiplication by w is w_1 L_b.  So at u = a the identity reads
     F L_a = F[0, 0] L_b F, and at u = a^(i+1), i >= 1, it reads
-    0 = F[0, i] L_b F, whose residuals are the outer product of |F[0]| with
-    the column maxima of |L_b F|.  Each candidate takes O(n^2) memory.
+    0 = F[0, i] L_b F, which holds exactly: rows 2..n of PX and PY (the
+    powers x^k and y^k, k >= 2) have first coordinate exactly 0, because
+    the first row of a companion matrix is zero, so the LU solve pivots on
+    row 0 with zero multipliers and F[0, 1:] = 0.  The residuals are thus
+    one row, the column maxima of the u = a difference.  Each candidate
+    takes O(n^2) memory.
     """
     eps = max(A.eps, B.eps)
-    PY, y_dependent = _power_basis(B, y, eps)
+    PY = _power_basis(B, y, eps)
     LA = A.companion()
     LB = B.companion()
 
     def check(x) -> CheckReport:
-        PX, x_dependent = _power_basis(A, x, eps)
-        if x_dependent:
+        PX = _power_basis(A, x, eps)
+        if PX is None:
             raise NotAGeneratorError("power basis of x is numerically dependent")
-        if y_dependent:
+        if PY is None:
             raise NotAGeneratorError("power basis of y is numerically dependent")
         F = np.linalg.solve(PX, PY).T  # F @ PX.T = PY.T
         FL = F @ LA
         LBF = LB @ F
-        residuals = np.outer(np.abs(F[0]), np.max(np.abs(LBF), axis=0))
-        scale = max(1.0, float(np.max(np.abs(FL))), float(np.max(residuals)))
-        residuals[0] = np.max(np.abs(FL - F[0, 0] * LBF), axis=0)
+        f00 = np.abs(F[0])[0]  # numpy's complex modulus, not Python's abs
+        scale = max(1.0, float(np.max(np.abs(FL))), float(f00 * np.max(np.abs(LBF))))
+        residuals = np.max(np.abs(FL - F[0, 0] * LBF), axis=0, keepdims=True)
         return CheckReport.of(residuals / scale, eps)
 
     return check
@@ -242,6 +244,9 @@ def fuzz(
         raise ValueError(f"dim_max must be at least 2, got {dim_max}")
     if trials > 0 and dim_max > 2**63 - 1:  # numpy draws dimensions as int64
         raise ValueError(f"dim_max must be at most 2**63 - 1, got {clipped_repr(dim_max)}")
+    if trials > 0 and eps >= GENERATOR_SCALE_MIN:
+        raise ValueError(f"tolerance must be below {GENERATOR_SCALE_MIN}, the smallest "
+                         f"generator scale fuzz draws, got {clipped_repr(eps)}")
 
     failures: list[str] = []
     skipped = 0
@@ -278,7 +283,7 @@ def fuzz(
             failures.append(f"{describe()}: cayley-hamilton residual {cayley:.3e}")
 
         # Law agreement on a full random generator.
-        c1 = _random_modulus(rng, 0.5, 2.0)
+        c1 = _random_modulus(rng, GENERATOR_SCALE_MIN, 2.0)
         x = 0.35 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         x[0] = c1
         law_failures = len(failures)
@@ -303,7 +308,7 @@ def fuzz(
 
         # Isomorphism agreement on a partner algebra.
         if t % 2 == 0:
-            s = _random_modulus(rng, 0.5, 2.0)
+            s = _random_modulus(rng, GENERATOR_SCALE_MIN, 2.0)
             partner_tail = embed_law(generator_law(A, s), n)
         else:
             partner_tail = _random_tail(rng, n, eps, adversarial=False)

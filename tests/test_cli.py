@@ -427,6 +427,15 @@ class TestFuzz:
         assert err == ("error: dim_max must be at most 2**63 - 1, "
                        "got 9223372036854775808\n")
 
+    def test_tolerance_above_generator_scales_names_the_field(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--tolerance", "0.6")
+        assert (code, out) == (2, "")
+        assert err == ("error: tolerance must be below 0.5, the smallest generator "
+                       "scale fuzz draws, got 0.6\n")
+        code, out, err = run(capsys, "fuzz", "--tolerance", "0.3")
+        assert code in (0, 1) and err == ""
+        assert out.startswith("tolerance: 0.3\n")
+
     def test_tolerance_reads_back_exactly(self, capsys):
         # :g keeps six significant digits: 1.23457e-17 is another float
         code, out, _ = run(capsys, "fuzz", "--trials", "40", "--dim-max", "6",

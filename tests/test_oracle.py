@@ -152,6 +152,31 @@ class TestExplicitIsoCheck:
             verdicts.add(report.passed)
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize(("n", "trials"), [(2, 40), (3, 40), (5, 40), (8, 40),
+                                               (16, 40), (48, 40), (200, 4)])
+    def test_basis_map_fixes_first_row_exactly(self, n, trials):
+        # the one-row map check rests on this: x^k and y^k, k >= 2, have first
+        # coordinate exactly 0, so the solve gives F[0, 1:] == 0 bit for bit
+        rng = np.random.default_rng(1700 + n)
+        solved = 0
+        for trial in range(trials):
+            A = build(n, random_typed_tail(rng, n))
+            B = build(n, random_typed_tail(rng, n))
+            if trial % 2:  # dense x, scaled by 1e-3 to 1e3
+                x = 10 ** rng.uniform(-3, 3) * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            else:
+                x = (0.5 * 4 ** rng.random()) * np.exp(2j * np.pi * rng.random()) * A.generator()
+            if trial % 4 >= 2:
+                y = rng.normal(size=n) + 1j * rng.normal(size=n)
+            else:
+                y = (0.5 * 4 ** rng.random()) * np.exp(2j * np.pi * rng.random()) * B.generator()
+            if oracle._power_basis(A, x, A.eps) is None or oracle._power_basis(B, y, B.eps) is None:
+                continue
+            F = np.linalg.solve(A.power_basis(x), B.power_basis(y)).T
+            assert np.all(F[0, 1:] == 0), trial
+            solved += 1
+        assert solved
+
     def test_memory_is_quadratic_in_dimension(self):
         # the check holds n-by-n matrices only; an n^3 complex tensor of
         # f(a^i) f(a^j) would peak near 52 MB at n = 128
@@ -332,6 +357,14 @@ class TestFuzz:
         with pytest.raises(ValueError, match="^dim_max must be at most 2\\*\\*63 - 1, got "):
             fuzz(10, dim_max=2**63)
 
+    def test_tolerance_at_smallest_generator_scale_names_the_field(self):
+        # the campaign's generator scales have modulus >= 0.5, and
+        # generator_law rejects one within eps of zero
+        with pytest.raises(ValueError, match="^tolerance must be below 0.5, .* got 0.5$"):
+            fuzz(10, eps=0.5)
+        assert fuzz(0, eps=0.5).passed
+        assert fuzz(10, dim_max=3, eps=0.3).executed
+
     def test_summary_mentions_verdict(self, capsys):
         assert main(["fuzz", "--trials", "10", "--dim-max", "3", "--seed", "1"]) == 0
         assert "verdict:               pass" in capsys.readouterr().out
@@ -366,24 +399,6 @@ def _names(code: types.CodeType) -> set[str]:
     return names
 
 
-class TestOracleIndependence:
-    def test_decision_functions_name_nothing_from_classification(self):
-        # the oracle re-derives every verdict; only fuzz, which compares the
-        # two routes, may use what the classification module defines
-        defined = {"classification"}
-        for node in ast.parse(inspect.getsource(classification)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
-        assert {"reduce", "generator_law", "detect_type", "NILPOTENT"} <= defined
-        for function in (oracle.law_by_linear_solve, oracle._dependent,
-                         oracle.explicit_iso_check, oracle.iso_by_search,
-                         oracle._leading_tail_index):
-            assert not _names(function.__code__) & defined, function.__name__
-
-
 def _classification_names() -> set[str]:
     """The module-level functions, classes and constants classification defines."""
     defined = {"classification"}
@@ -394,6 +409,22 @@ def _classification_names() -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined |= {t.id for t in targets if isinstance(t, ast.Name)}
     return defined
+
+
+class TestOracleIndependence:
+    def test_decision_functions_name_nothing_from_classification(self):
+        # the oracle re-derives every verdict; only fuzz, which compares the
+        # two routes, may use what the classification module defines
+        defined = _classification_names()
+        assert {"reduce", "generator_law", "detect_type", "NILPOTENT"} <= defined
+        functions = {
+            name: function for name, function in inspect.getmembers(oracle, inspect.isfunction)
+            if function.__module__ == oracle.__name__ and name != "fuzz"
+        }
+        assert {"law_by_linear_solve", "_power_basis", "explicit_iso_check",
+                "_map_checker", "iso_by_search"} <= functions.keys()
+        for name, function in functions.items():
+            assert not _names(function.__code__) & defined, name
 
 
 def test_map_checker_names_nothing_from_classification():
