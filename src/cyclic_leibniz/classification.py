@@ -22,8 +22,12 @@ The classification pipeline, for an algebra with tail (alpha_2, ..., alpha_n):
 
    w running over the (d+1)-th roots of unity, d = n - k.  The canonical
    representative is the orbit member that is lexicographically minimal
-   under the eps-grid key of each component; its entries are stored snapped
-   to that grid so equal classes print and serialize identically.
+   under the eps-grid key of each component, the earliest root in
+   ``roots_of_unity`` order winning a tie; its entries are stored snapped
+   to that grid so equal classes print and serialize identically.  The
+   minimum is found entry by entry: entry i is keyed only for the roots
+   still tied for least, which takes O(d) keys unless the orbit ties, where
+   listing every member (``orbit``) takes (d+1)*d.
 
 Isomorphism is decided on the raw reduced tuples of step 2 (``reduce``):
 equal type labels, then ``equivalent`` within eps.  The snapped canonical
@@ -37,6 +41,7 @@ families of a dimension as plain records, the shape the CLI prints.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 
 from .algebra import CyclicAlgebra, NotAGeneratorError, build, checked_dimension
@@ -190,14 +195,54 @@ def orbit(gamma: GammaTuple, eps: float = DEFAULT_EPS) -> list[GammaTuple]:
 
 
 def equivalent(g1: GammaTuple, g2: GammaTuple, eps: float = DEFAULT_EPS) -> bool:
-    """True iff g2 matches some weighted rescaling of g1 within eps, componentwise."""
+    """True iff g2 matches some weighted rescaling of g1 within eps, componentwise.
+
+    Each root's rescaled entries are computed as ``rescale`` computes them,
+    one at a time, and the root is dropped at its first entry that is not
+    ``approx_eq``; a pair that fails early costs O(1) per root, not O(d).
+    """
     if len(g1) != len(g2):
         raise ValueError(f"tuple lengths differ: {len(g1)} vs {len(g2)}")
-    for omega in roots_of_unity(len(g1) + 1):
-        member = rescale(g1, omega)
-        if all(approx_eq(a, b, eps) for a, b in zip(member, g2)):
+    d = len(g1)
+    for omega in roots_of_unity(d + 1):
+        for i, (a, b) in enumerate(zip(g1, g2)):
+            if not approx_eq(omega ** (d - i) * a, b, eps):
+                break
+        else:
             return True
     return False
+
+
+# Past this, some rescaled entry may fall off the eps grid, and only the full
+# orbit finds out which member raises.
+_GRID_SAFE_LIMIT = sys.float_info.max / 2
+
+
+def _least_member(gamma: GammaTuple, eps: float) -> GammaTuple:
+    """``orbit(gamma, eps)[0]``, keying entry i only for the roots still tied for least.
+
+    A root leaves at the first entry whose grid key is above the least key
+    among the tied roots; the earliest root left after the last entry, or
+    the only one left, wins, as in ``orbit``'s first-come tie-break.  Zero
+    entries key to (0, 0) under every root, so they are skipped.  When an
+    entry's |re| + |im| over eps exceeds half the float range, a member the
+    search would never key might fall off the grid; then the whole orbit is
+    built, which raises canonical_key's ValueError exactly as it always did.
+    """
+    for g in gamma:
+        if not (abs(g.real) + abs(g.imag)) / eps <= _GRID_SAFE_LIMIT:
+            return orbit(gamma, eps)[0]
+    d = len(gamma)
+    tied = roots_of_unity(d + 1)
+    for i, g in enumerate(gamma):
+        if len(tied) == 1:
+            break
+        if g == 0:
+            continue
+        keys = [canonical_key(omega ** (d - i) * g, eps) for omega in tied]
+        least = min(keys)
+        tied = [omega for omega, key in zip(tied, keys) if key == least]
+    return rescale(gamma, tied[0])
 
 
 def reduce(A: CyclicAlgebra) -> tuple[TypeLabel, GammaTuple]:
@@ -237,10 +282,13 @@ def normalize(A: CyclicAlgebra) -> CanonicalForm:
     """The canonical form of A: type label plus snapped canonical orbit member.
 
     Minimizing over the orbit makes the result independent of the branch
-    ``reduce`` picks for the reducing generator.
+    ``reduce`` picks for the reducing generator.  The minimum is
+    ``orbit(raw, eps)[0]``, bit for bit, but found without listing the
+    orbit: entry by entry over the roots still tied for least, O(d) grid
+    keys for d = n - k unless the orbit ties, against ``orbit``'s (d+1)*d.
     """
     label, raw = reduce(A)
-    representative = orbit(raw, A.eps)[0]
+    representative = _least_member(raw, A.eps)
     return CanonicalForm(A.n, label, tuple(snap(g, A.eps) for g in representative))
 
 

@@ -5,7 +5,8 @@ returns (exit code, effective tolerance, record); ``--json`` prints the
 command's record; the human text is rendered from it by ``*_lines``.  Exit
 codes: 0 for success or an affirmative verdict, 1 for a negative verdict or
 a failed verification (an oracle disagreement included), 2 for usage or
-parse errors and for work that overflows or runs out of memory.  Output is
+parse errors and for work that overflows or runs out of memory, 141 when
+the reader of standard output closes it early (``| head``).  Output is
 purely a function of the inputs and flags, so identical invocations produce
 byte-identical output; the effective tolerance is in every header and
 record.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -25,6 +27,9 @@ from .classification import TypeLabel, family_table, isomorphic, normalize, orbi
 from .documents import load_algebra
 from .oracle import fuzz, iso_by_search
 from .scalars import DEFAULT_EPS, checked_tolerance, format_tuple, parse_complex, snap
+
+# 128 + SIGPIPE: what a shell reports for a writer a closed pipe ends
+EXIT_BROKEN_PIPE = 141
 
 
 def _json_pair(value) -> list[float]:
@@ -311,7 +316,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # inside the try: a closed pipe fails here for short output
+    except BrokenPipeError:
+        # the reader left (``| head``): point stdout at devnull so the exit-time
+        # flush of what is still buffered fails no more, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -41,8 +41,10 @@ def parse_algebra_document(data: Any, eps_override: float | None = None) -> Cycl
         raise DocumentError("tail must be a list of [re, im] number pairs")
     tail = []
     for index, pair in enumerate(tail_data):
-        if not (isinstance(pair, list) and len(pair) == 2 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+        # both values tested inline: a generator in all() costs more than the check
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], (int, float)) and not isinstance(pair[0], bool)
+                and isinstance(pair[1], (int, float)) and not isinstance(pair[1], bool)):
             raise DocumentError(f"tail entry {index} must be an [re, im] number pair")
         try:
             tail.append(complex(*pair))

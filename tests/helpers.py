@@ -3,6 +3,8 @@
 import numpy as np
 
 from cyclic_leibniz.algebra import CheckReport
+from cyclic_leibniz.classification import orbit, rescale
+from cyclic_leibniz.scalars import approx_eq, roots_of_unity
 
 
 def random_tail(rng, n, mod_max=10.0):
@@ -48,3 +50,16 @@ def map_check_reference(A, B, x, y):
                           for i in range(n)])
     scale = max(1.0, max(np.max(np.abs(v)) for row in images + products for v in row))
     return CheckReport.of(residuals / scale, max(A.eps, B.eps))
+
+
+def least_member_reference(gamma, eps):
+    """The canonical orbit member by its definition: list, key and sort the whole orbit."""
+    return orbit(gamma, eps)[0]
+
+
+def equivalent_reference(g1, g2, eps):
+    """``equivalent`` by its definition: rescale all of g1, then compare entry by entry."""
+    for omega in roots_of_unity(len(g1) + 1):
+        if all(approx_eq(a, b, eps) for a, b in zip(rescale(g1, omega), g2)):
+            return True
+    return False

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cyclic_leibniz.classification import (
     NILPOTENT,
     CanonicalForm,
     TypeLabel,
+    _least_member,
     detect_type,
     embed_law,
     equivalent,
@@ -21,8 +23,51 @@ from cyclic_leibniz.classification import (
     rescale,
 )
 from cyclic_leibniz.oracle import iso_by_search, law_by_linear_solve
-from cyclic_leibniz.scalars import approx_eq, canonical_key
-from helpers import random_typed_tail
+from cyclic_leibniz.scalars import approx_eq, canonical_key, roots_of_unity, snap
+from helpers import equivalent_reference, least_member_reference, random_typed_tail
+
+RAW_KINDS = ("dense", "zeros", "all_zero", "stabilizer", "half_grid", "grid_edge")
+EXTREME_MESSAGE = "-231822198.309+62116570.8246i is out of range of the eps=1e-300 grid"
+
+
+def raw_tuple(rng, d, kind):
+    """A seeded reduced tuple of length d, and the eps to key it with.
+
+    ``stabilizer`` puts nonzero entries only where s divides d - i, for some
+    divisor s > 1 of d + 1, so the s-th roots of unity fix the tuple;
+    ``half_grid`` puts both parts of every entry half-way between grid
+    points; ``grid_edge`` puts |re| + |im| from below half the float range
+    in units of eps to past all of it, where some orbit members fall off
+    the grid.
+    """
+    eps = (1e-9, 1e-3)[int(rng.integers(0, 2))]
+    if kind == "half_grid":
+        eps = 2.0 ** -20
+        return tuple(complex(int(rng.integers(-50, 50)) + 0.5,
+                             int(rng.integers(-50, 50)) + 0.5) * eps for _ in range(d)), eps
+    if kind == "grid_edge":
+        eps = 1e-300
+        parts = rng.uniform(0.3, 1.0, size=(d, 2)) * rng.choice([-1, 1], size=(d, 2))
+        return tuple(complex(re, im) * 1.4e8 for re, im in parts), eps
+    scale = 10.0 ** rng.uniform(-4, 3)
+    g = [complex(rng.normal(), rng.normal()) * scale for _ in range(d)]
+    if kind == "zeros":
+        g = [0j if rng.random() < 0.5 else x for x in g]
+    elif kind == "all_zero":
+        g = [0j] * d
+    elif kind == "stabilizer" and d:
+        divisors = [s for s in range(2, d + 2) if (d + 1) % s == 0]
+        s = divisors[int(rng.integers(0, len(divisors)))]
+        g = [x if (d - i) % s == 0 else 0j for i, x in enumerate(g)]
+    return tuple(g), eps
+
+
+def outcome(f, *args):
+    """f(*args), or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 class TestTypeLabel:
@@ -175,6 +220,25 @@ class TestEquivalent:
         with pytest.raises(ValueError):
             equivalent((1,), (1, 2))
 
+    @pytest.mark.parametrize("kind", RAW_KINDS)
+    def test_equals_full_rescale_reference(self, kind):
+        # partners: an exact rescaling, one entry moved by 0.5, 1 or 2 eps, or unrelated
+        rng = np.random.default_rng(RAW_KINDS.index(kind) + 200)
+        for d in range(48):
+            for _ in range(6):
+                g1, eps = raw_tuple(rng, d, kind)
+                roots = roots_of_unity(d + 1)
+                g2 = list(rescale(g1, roots[int(rng.integers(0, d + 1))]))
+                mode = int(rng.integers(0, 3))
+                if mode == 1 and d:
+                    shift = (0.5, 1.0, 2.0)[int(rng.integers(0, 3))] * eps
+                    g2[int(rng.integers(0, d))] += shift * cmath.exp(2j * math.pi * rng.random())
+                elif mode == 2:
+                    g2 = list(raw_tuple(rng, d, kind)[0])
+                assert outcome(equivalent, g1, tuple(g2), eps) == outcome(
+                    equivalent_reference, g1, tuple(g2), eps
+                )
+
     def test_equivalence_relation(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
@@ -262,6 +326,47 @@ class TestNormalize:
             members = orbit(form.gamma, A.eps)
             assert all(approx_eq(a, b, A.eps) for a, b in zip(members[0], form.gamma))
 
+    @pytest.mark.parametrize("kind", RAW_KINDS)
+    def test_least_member_equals_full_orbit_reference(self, kind):
+        rng = np.random.default_rng(RAW_KINDS.index(kind) + 100)
+        for d in range(48):
+            for _ in range(4):
+                gamma, eps = raw_tuple(rng, d, kind)
+                assert outcome(_least_member, gamma, eps) == outcome(
+                    least_member_reference, gamma, eps
+                )
+
+    def test_stabilized_tuples_have_short_orbits(self):
+        # the stabilizer kind above really makes orbit members tie
+        rng = np.random.default_rng(RAW_KINDS.index("stabilizer") + 100)
+        short = 0
+        for d in range(48):
+            for _ in range(4):
+                gamma, eps = raw_tuple(rng, d, "stabilizer")
+                short += any(gamma) and len(orbit(gamma, eps)) < d + 1
+        assert short >= 50
+
+    def test_normalize_equals_snapped_full_orbit_reference(self):
+        rng = np.random.default_rng(47)
+        for n in range(2, 50):
+            for _ in range(4):
+                A = build(n, random_typed_tail(rng, n, nilpotent_fraction=0.1))
+                label, raw = reduce(A)
+                form = normalize(A)
+                assert form.label == label
+                assert form.gamma == tuple(
+                    snap(g, A.eps) for g in least_member_reference(raw, A.eps)
+                )
+
+    def test_extreme_scale_rejected_as_the_full_orbit_rejects_it(self):
+        # the least orbit member is on the 1e-300 grid, another member is not
+        A = build(4, [1, -1, 2.4e8 * cmath.exp(1j * math.pi / 4)], 1e-300)
+        with pytest.raises(ValueError) as excinfo:
+            normalize(A)
+        assert str(excinfo.value) == EXTREME_MESSAGE
+        with pytest.raises(ValueError, match=re.escape(EXTREME_MESSAGE)):
+            orbit(reduce(A)[1], A.eps)
+
     def test_branch_choice_is_absorbed(self):
         # same algebra scaled by any root of unity normalizes identically
         rng = np.random.default_rng(29)
@@ -340,6 +445,30 @@ class TestIsomorphic:
             (label_a, raw_a), (label_b, raw_b) = reduce(A), reduce(B)
             expected = label_a == label_b and equivalent(raw_a, raw_b, A.eps)
             assert isomorphic(A, B) == expected == iso_by_search(A, B)
+
+    def test_matches_full_rescale_reference(self):
+        # partners: the rebuild through a rescaled generator, that rebuild with
+        # one entry moved by about eps, or an unrelated tail
+        rng = np.random.default_rng(53)
+        verdicts = []
+        for _ in range(2000):
+            n = int(rng.integers(2, 18))
+            A = build(n, random_typed_tail(rng, n, nilpotent_fraction=0.05))
+            mode = int(rng.integers(0, 3))
+            if mode == 2:
+                tail = random_typed_tail(rng, n, nilpotent_fraction=0.05)
+            else:
+                s = 0.5 * 4 ** rng.random() * cmath.exp(2j * math.pi * rng.random())
+                tail = list(embed_law(generator_law(A, s), n))
+                if mode == 1:
+                    j = int(rng.integers(0, n - 1))
+                    tail[j] += 2 * A.eps * rng.random() * cmath.exp(2j * math.pi * rng.random())
+            B = build(n, tail)
+            (label_a, raw_a), (label_b, raw_b) = reduce(A), reduce(B)
+            expected = label_a == label_b and equivalent_reference(raw_a, raw_b, A.eps)
+            assert isomorphic(A, B) == expected
+            verdicts.append(expected)
+        assert 500 < sum(verdicts) < 1500
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(37)

@@ -1,9 +1,14 @@
+import cmath
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from cyclic_leibniz.algebra import CyclicAlgebra
-from cyclic_leibniz.cli import main
+from cyclic_leibniz.cli import EXIT_BROKEN_PIPE, main
 
 
 def write_doc(tmp_path, name, dimension, tail, tolerance=None):
@@ -614,9 +619,6 @@ class TestExactOutput:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        import subprocess
-        import sys
-
         path = write_doc(tmp_path, "a.json", 3, [4, 2])
         result = subprocess.run(
             [sys.executable, "-m", "cyclic_leibniz", "classify", path],
@@ -624,6 +626,42 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "class: type 2" in result.stdout
+
+    @pytest.mark.parametrize("command", ["classify", "orbit"])
+    def test_pipe_closed_before_output_exits_quietly(self, tmp_path, command):
+        # the few lines fit the stdout buffer, so the write fails at the final
+        # flush; PYTHONUNBUFFERED would make print itself fail instead
+        path = write_doc(tmp_path, "a.json", 3, [4, 2])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "cyclic_leibniz", command, path],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (EXIT_BROKEN_PIPE, "")
+
+    def test_pipe_closed_mid_output_exits_quietly(self, tmp_path):
+        # orbit of dimension 200 prints about 600 kB; read 300 bytes, then close
+        path = write_doc(tmp_path, "ones.json", 200, [1] * 199)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cyclic_leibniz", "orbit", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            head = proc.stdout.read(300)
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert head.startswith("tolerance: 1e-09\ndimension: 200\n")
+        assert "Traceback" not in stderr
+        assert (code, stderr) == (EXIT_BROKEN_PIPE, "")
 
 
 class TestGlobalFlags:
@@ -638,6 +676,15 @@ class TestGlobalFlags:
         code, out, err = run(capsys, *argv, "--tolerance", "inf")
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+    def test_extreme_scale_rejected_alike_by_classify_and_orbit(self, tmp_path, capsys):
+        # the least orbit member is on the 1e-300 grid, another member is not
+        tail = [1, -1, 2.4e8 * cmath.exp(1j * math.pi / 4)]
+        path = write_doc(tmp_path, "a.json", 4, tail, tolerance=1e-300)
+        expected = (2, "", "error: -231822198.309+62116570.8246i is out of range "
+                           "of the eps=1e-300 grid\n")
+        assert run(capsys, "classify", path) == expected
+        assert run(capsys, "orbit", path) == expected
 
     def test_tolerance_below_grid_range_is_an_error_message(self, tmp_path, capsys):
         path = write_doc(tmp_path, "a.json", 3, [4, 2])
