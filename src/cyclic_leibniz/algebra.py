@@ -80,10 +80,16 @@ class CyclicAlgebra:
     # -- basic structure ---------------------------------------------------
 
     def companion(self) -> np.ndarray:
-        """The matrix of L_a: subdiagonal ones, last column (0, alpha_2, ..., alpha_n)."""
-        L = np.zeros((self.n, self.n), dtype=complex)
-        L[range(1, self.n), range(self.n - 1)] = 1.0
-        L[1:, self.n - 1] = self.tail
+        """The matrix of L_a: subdiagonal ones, last column (0, alpha_2, ..., alpha_n).
+
+        It is built on first use and kept with the algebra, so it is read-only.
+        """
+        L = getattr(self, "_companion", None)
+        if L is None:
+            L = np.eye(self.n, k=-1, dtype=complex)
+            L[1:, self.n - 1] = self.tail
+            L.setflags(write=False)
+            object.__setattr__(self, "_companion", L)  # not a field: eq, hash and repr ignore it
         return L
 
     def element(self, coords: Sequence[complex]) -> Element:
@@ -114,13 +120,29 @@ class CyclicAlgebra:
         return x[0] * (self.companion() @ y)
 
     def power_basis(self, x: Sequence[complex]) -> np.ndarray:
-        """Rows x, x^2, ..., x^n with x^(j+1) = x * x^j.  Independence is not checked."""
-        x = self.element(x)
+        """Rows x, x^2, ..., x^n with x^(j+1) = x * x^j.  Independence is not checked.
+
+        x may also be an (m, n) stack of elements; the result is then the
+        (m, n, n) stack of their power bases, from one run of the recurrence.
+        Each is bit for bit the power basis of its element alone: numpy runs
+        a stacked matrix-vector product as one BLAS gemv per element, the
+        call ``multiply`` makes, where one matrix product would round apart.
+        """
         L = self.companion()
-        powers = np.empty((self.n, self.n), dtype=complex)
-        powers[0] = x
+        x = np.asarray(x, dtype=complex)
+        if x.ndim != 2:
+            x = self.element(x)
+            powers = np.empty((self.n, self.n), dtype=complex)
+            powers[0] = x
+            for j in range(1, self.n):
+                powers[j] = x[0] * (L @ powers[j - 1])  # the arithmetic of multiply
+            return powers
+        if x.shape[1] != self.n:
+            raise ValueError(f"elements must have {self.n} coordinates, got shape {x.shape}")
+        powers = np.empty((len(x), self.n, self.n), dtype=complex)
+        powers[:, 0] = x
         for j in range(1, self.n):
-            powers[j] = x[0] * (L @ powers[j - 1])  # the arithmetic of multiply
+            powers[:, j] = x[:, :1] * (L @ powers[:, j - 1, :, None])[:, :, 0]
         return powers
 
     def multiplication_table(self) -> np.ndarray:
@@ -173,6 +195,17 @@ class CheckReport:
             return cls(True, residual)
         where = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
         return cls(False, residual, tuple(int(i) + 1 for i in where))
+
+    @classmethod
+    def each(cls, residuals: np.ndarray, eps: float) -> list[CheckReport]:
+        """``[CheckReport.of(r, eps) for r in residuals]``, in a few numpy calls."""
+        rows = residuals.reshape(len(residuals), -1)
+        worst = np.max(rows, axis=1).tolist()
+        if all(residual <= eps for residual in worst):
+            return [cls(True, residual) for residual in worst]
+        where = np.unravel_index(np.argmax(rows, axis=1), residuals.shape[1:])
+        return [cls(True, residual) if residual <= eps else cls(False, residual, at)
+                for residual, at in zip(worst, zip(*((i + 1).tolist() for i in where)))]
 
 
 def leibniz_check(table: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:

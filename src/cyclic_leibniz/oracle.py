@@ -5,14 +5,17 @@ re-derived here from raw products and linear algebra only:
 
 * ``law_by_linear_solve`` recovers a generator's law by expressing x*x^n in
   the power basis of x via an n-by-n linear solve (no law formula involved).
-  ``_power_basis`` is the oracle's one generator test: it returns the basis,
-  or None when the basis is numerically dependent.
+  ``_power_bases`` is the oracle's one generator test, for one element or
+  a stack; ``_power_basis`` returns one element's basis, or None when it is
+  numerically dependent.
 * ``explicit_iso_check`` verifies a claimed isomorphism by building the
   basis map x^i -> y^i and checking f(uv) = f(u)f(v) on all basis pairs,
   which in these algebras is the one identity F L_a = F[0, 0] L_b F; it
   returns the ``CheckReport`` that ``algebra.leibniz_check`` does.
 * ``iso_by_search`` decides isomorphism by searching candidate generators,
-  never touching canonical forms.
+  never touching canonical forms.  It checks them in stacks of at most
+  ``_STACK_ENTRIES`` matrix entries (one candidate from n = 46 on), each
+  step one numpy call for the whole stack, with the reports of single checks.
 * ``fuzz`` runs a seeded randomized campaign asserting that the two routes
   agree everywhere they should, and returns its counts as a ``FuzzReport``
   record that the CLI renders.
@@ -65,23 +68,34 @@ def law_by_linear_solve(A: CyclicAlgebra, x) -> np.ndarray | None:
 
 
 def _power_basis(A: CyclicAlgebra, x, eps: float) -> np.ndarray | None:
-    """A's power basis of x (rows x, ..., x^n), or None if it is dependent.
+    """A's power basis of x (rows x, ..., x^n), or None if it is dependent."""
+    powers, independent = _power_bases(A, x, eps)
+    return powers if independent else None
+
+
+def _power_bases(A: CyclicAlgebra, x, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """A's power bases of x, one element or an (m, n) stack, and which are independent.
 
     This is the oracle's generator test.  Each power is divided by its
     2-norm first, so the test is scale-free: the power basis of c*x is that
     of x with power j times c^j.  A zero or non-finite norm (one that
     overflows included) is dependent outright; otherwise the basis is
     dependent iff its smallest singular value is at most eps times the
-    largest.  Powers that overflow make the basis dependent, so numpy's
-    overflow and invalid-value warnings on the way there are silenced.
+    largest.  Powers that overflow or vanish make the basis dependent, so
+    numpy's overflow, invalid-value and division warnings on the way there
+    are silenced.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         powers = A.power_basis(x)
-        norms = np.linalg.norm(powers.T, axis=0)
+        columns = np.swapaxes(powers, -1, -2)
+        norms = np.linalg.norm(columns, axis=-2)
+        scaled = columns / norms[..., None, :]
+        finite = True
         if not 0 < norms.min() <= norms.max() < np.inf:  # NaN fails too
-            return None
-        svals = np.linalg.svd(powers.T / norms, compute_uv=False)
-        return None if svals[-1] <= eps * svals[0] else powers
+            finite = (norms.min(axis=-1) > 0) & (norms.max(axis=-1) < np.inf)
+            scaled[~finite] = np.eye(A.n)  # dependent already; keeps the SVD finite
+        svals = np.linalg.svd(scaled, compute_uv=False)
+        return powers, finite & (svals[..., -1] > eps * svals[..., 0])
 
 
 def law_leading_index(lam: np.ndarray, c1: complex) -> int | None:
@@ -116,15 +130,21 @@ def explicit_iso_check(A: CyclicAlgebra, B: CyclicAlgebra, x, y) -> CheckReport:
     """
     if A.n != B.n:
         raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
-    return _map_checker(A, B, y)(x)
+    return _map_checker(A, B, y)(A.element(x)[None])[0]
 
 
 def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
-    """``explicit_iso_check(A, B, x, y)`` as a function of x alone.
+    """``explicit_iso_check(A, B, x, y)`` on a stack of candidates x.
 
-    y's side -- its power basis, its generator test and B's companion
-    matrix -- is built once, so a search over many x pays for it once.  A
-    dependent y is reported only after x passes its own test.
+    The returned check takes an (m, n) stack and gives the reports of its
+    candidates in order, up to and including the first that passes; each is
+    bit for bit the report of that candidate alone.  It raises
+    NotAGeneratorError at the first dependent candidate it reaches, so an
+    earlier pass keeps a later dependent candidate from raising, and a
+    dependent x is named before a dependent y.  y's side -- its power basis,
+    its generator test and B's companion matrix -- is built once, so a
+    search over many x pays for it once, and each step below is one numpy
+    call for the whole stack.
 
     In A, left multiplication by a^i is zero for i >= 2; in B, left
     multiplication by w is w_1 L_b.  So at u = a the identity reads
@@ -141,21 +161,41 @@ def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
     LA = A.companion()
     LB = B.companion()
 
-    def check(x) -> CheckReport:
-        PX = _power_basis(A, x, eps)
-        if PX is None:
+    def check(xs: np.ndarray) -> list[CheckReport]:
+        PX, independent = _power_bases(A, xs, eps)
+        independent = independent.tolist()
+        if not independent[0]:
             raise NotAGeneratorError("power basis of x is numerically dependent")
         if PY is None:
             raise NotAGeneratorError("power basis of y is numerically dependent")
-        F = np.linalg.solve(PX, PY).T  # F @ PX.T = PY.T
+        reached = independent.index(False) if False in independent else len(independent)
+        # PY[None] is a stack of one matrix: numpy 1.x solves a 2-D b as vectors
+        F = np.linalg.solve(PX[:reached], PY[None]).swapaxes(-1, -2)  # F @ PX.T = PY.T
         FL = F @ LA
         LBF = LB @ F
-        f00 = np.abs(F[0])[0]  # numpy's complex modulus, not Python's abs
-        scale = max(1.0, float(np.max(np.abs(FL))), float(f00 * np.max(np.abs(LBF))))
-        residuals = np.max(np.abs(FL - F[0, 0] * LBF), axis=0, keepdims=True)
-        return CheckReport.of(residuals / scale, eps)
+        f00 = np.abs(F[:, 0, 0])  # numpy's complex modulus, not Python's abs
+        # fmax, like max over Python floats, passes over a NaN
+        scale = np.fmax(np.fmax(1.0, np.max(np.abs(FL), axis=(1, 2))),
+                        f00 * np.max(np.abs(LBF), axis=(1, 2)))
+        residuals = np.max(np.abs(FL - F[:, :1, :1] * LBF), axis=1, keepdims=True)
+        reports = CheckReport.each(residuals / scale[:, None, None], eps)
+        for i, report in enumerate(reports):
+            if report.passed:
+                return reports[:i + 1]
+        if reached < len(independent):
+            raise NotAGeneratorError("power basis of x is numerically dependent")
+        return reports
 
     return check
+
+
+# Matrix entries in the largest stack of candidates a search checks at once:
+# a stack holds _STACK_ENTRIES // n^2 of them, and at least one.  Stacking
+# saves a dozen numpy calls per candidate, which pays while each call is
+# short.  From n = 46 on a stack is one candidate: there a candidate's LAPACK
+# work (about a millisecond at n = 64) dwarfs the calls, and memory stays
+# O(n^2) per candidate.
+_STACK_ENTRIES = 4096
 
 
 def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
@@ -167,7 +207,11 @@ def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
     coefficient and omega runs over the relevant roots of unity.  That law
     has its algebra's leading tail index, so algebras whose leading indices
     differ are not isomorphic.  Every candidate maps to the one y = cB * b,
-    whose side of the map check is built once.
+    whose side of the map check is built once.  Candidates are checked in
+    order, in stacks of at most ``_STACK_ENTRIES`` matrix entries (every
+    search at n <= 16 is one stack; from n = 46 on each candidate is its
+    own), and the search stops after the first stack holding one that
+    passes.
     """
     if A.n != B.n:
         return False
@@ -181,8 +225,10 @@ def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
     cA = inverse_root(A.tail[kA - 2], A.n - kA + 1)
     cB = inverse_root(B.tail[kB - 2], B.n - kB + 1)
     check = _map_checker(A, B, cB * B.generator())
-    return any(check((cA * omega) * A.generator()).passed
-               for omega in roots_of_unity(A.n - kA + 1))
+    scales = [cA * omega for omega in roots_of_unity(A.n - kA + 1)]
+    size = max(1, _STACK_ENTRIES // A.n**2)
+    return any(check(np.multiply.outer(scales[i:i + size], A.generator()))[-1].passed
+               for i in range(0, len(scales), size))
 
 
 def near_boundary(tail, eps: float = DEFAULT_EPS) -> bool:

@@ -76,6 +76,14 @@ class TestCompanion:
         L = build(3, [1, 2]).companion()
         assert_array_equal(L, [[0, 0, 0], [1, 0, 1], [0, 1, 2]])
 
+    def test_built_once_and_read_only(self):
+        A = build(3, [1, 2])
+        L = A.companion()
+        assert A.companion() is L
+        with pytest.raises(ValueError):
+            L[0, 0] = 1
+        assert A == build(3, [1, 2])  # the cached matrix is not a field
+
 
 class TestMultiply:
     def test_generator_shifts_basis(self):
@@ -147,6 +155,22 @@ class TestPowerBasis:
             expected.append(A.multiply(x, expected[-1]))
         powers = A.power_basis(x)
         assert [p.tobytes() for p in powers] == [e.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 40])
+    def test_stack_equals_each_element_bitwise(self, n):
+        rng = np.random.default_rng(200 + n)
+        A = build(n, random_tail(rng, n))
+        xs = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        stacked = A.power_basis(xs)
+        assert stacked.shape == (5, n, n)
+        assert [p.tobytes() for p in stacked] == [A.power_basis(x).tobytes() for x in xs]
+
+    def test_stack_length_checked(self):
+        A = build(3, [1, 2])
+        with pytest.raises(ValueError, match="^elements must have 3 coordinates"):
+            A.power_basis(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="^element must have 3 coordinates"):
+            A.power_basis(np.zeros((2, 2, 3)))
 
 
 class TestVerifyLeibniz:
@@ -294,3 +318,19 @@ class TestCayleyHamilton:
     def test_generic_tail_of_dimension_200(self):
         # all ones: max|f(L_a)| is near 1e44, far below the size of L_a^n
         assert build(200, [1] * 199).cayley_hamilton_residual() < 1e-9
+
+
+class TestCheckReport:
+    @pytest.mark.parametrize("shape", [(1,), (1, 5), (4, 4, 4)])
+    def test_each_equals_report_of_each_row(self, shape):
+        rng = np.random.default_rng(len(shape))
+        scales = 10.0 ** rng.integers(-12, 1, size=(6,) + (1,) * len(shape))
+        residuals = rng.random((6,) + shape) * scales
+        residuals[1] = 0.0
+        residuals[2].flat[-1] = np.nan
+        residuals[3].flat[:2] = residuals[3].max()  # a tie: the first index wins
+        reports = CheckReport.each(residuals, 1e-9)
+        # repr, since a NaN residual equals nothing, itself included
+        assert [repr(r) for r in reports] == [repr(CheckReport.of(r, 1e-9)) for r in residuals]
+        assert {r.passed for r in reports} == {True, False}
+        assert CheckReport.each(residuals[1:2], 1e-9) == [CheckReport(True, 0.0)]

@@ -240,7 +240,7 @@ class TestIsoBySearch:
             pairs += 1
             assert not iso_by_search(build(n, tail_a), build(n, tail_b))
 
-    @pytest.mark.parametrize("n", [3, 5, 8, 12, 16])
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 16, 24, 32])
     def test_equals_explicit_checks_of_every_candidate(self, n):
         # the search builds y's side once; each verdict must still be the
         # map check of each candidate x_omega against y, one call at a time
@@ -261,6 +261,59 @@ class TestIsoBySearch:
             expected = any(explicit_iso_check(A, B, (cA * omega) * A.generator(), y).passed
                            for omega in roots_of_unity(n - k + 1))
             assert iso_by_search(A, B) == expected
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 16, 24, 32])
+    def test_stacked_reports_equal_each_candidate_alone(self, n):
+        # one stack of every candidate: the reports come in candidate order,
+        # stop at the first pass, and each is that candidate's own report
+        rng = np.random.default_rng(800 + n)
+        stops = set()
+        for trial in range(12):
+            A = build(n, random_typed_tail(rng, n))
+            k = next(i for i, t in enumerate(A.tail, start=2) if t != 0)
+            if trial % 2 == 0:
+                s = (0.5 * 4 ** rng.random()) * np.exp(2j * np.pi * rng.random())
+                B = build(n, embed_law(generator_law(A, s), n))
+            else:
+                tail = random_typed_tail(rng, n)
+                tail[: k - 2] = [0] * (k - 2)
+                tail[k - 2] = tail[k - 2] or 1.5
+                B = build(n, tail)
+            cA = inverse_root(A.tail[k - 2], n - k + 1)
+            y = inverse_root(B.tail[k - 2], n - k + 1) * B.generator()
+            candidates = [(cA * omega) * A.generator() for omega in roots_of_unity(n - k + 1)]
+            reports = oracle._map_checker(A, B, y)(np.array(candidates))
+            alone = []
+            for x in candidates:
+                alone.append(explicit_iso_check(A, B, x, y))
+                if alone[-1].passed:
+                    break
+            assert reports == alone
+            stops.add((len(reports), reports[-1].passed))
+        assert len(stops) > 1
+
+    def test_stack_stops_at_its_first_pass_or_dependent_candidate(self):
+        A = build(3, [1, 1])
+        a, square = A.generator(), A.basis_element(2)  # a^2 generates nothing
+        check = oracle._map_checker(A, A, a)
+        assert [r.passed for r in check(np.array([-a, a, square]))] == [False, True]
+        with pytest.raises(NotAGeneratorError, match="power basis of x "):
+            check(np.array([-a, square, a]))
+
+    def test_search_memory_is_quadratic_in_dimension(self):
+        # A and B are not isomorphic, so the search tries all 127 candidates;
+        # one stack of them all would take about 32 MB per stacked array
+        n = 128
+        A = build(n, [1] * (n - 1))
+        B = build(n, [1] + [2] * (n - 2))
+        iso_by_search(A, A)  # first call pays for lazy imports
+        tracemalloc.start()
+        try:
+            assert not iso_by_search(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 16 * n * n
 
     def test_dependent_x_is_named_before_dependent_y(self):
         # the candidate c*a with c = 1e-300 has c^2 = 0: a dependent power basis
