@@ -19,7 +19,9 @@ Leibniz identity
 
 holds for every choice of tail: each left multiplication is a derivation.
 ``verify_leibniz`` re-checks it from first principles on all n^3 basis
-triples rather than trusting the construction.  A linear map f with matrix
+triples rather than trusting the construction.  The multiplication table
+is zero outside a's slice, so ``leibniz_check`` takes a table as its
+nonzero slices and never builds the n^3 array.  A linear map f with matrix
 F is an isomorphism onto another such algebra iff it is invertible and
 intertwines left multiplications, F L_u = L_(f(u)) F for every basis vector
 u; the oracle's explicit map check tests that identity.
@@ -145,17 +147,16 @@ class CyclicAlgebra:
             powers[:, j] = x[:, :1] * (L @ powers[:, j - 1, :, None])[:, :, 0]
         return powers
 
-    def multiplication_table(self) -> np.ndarray:
-        """table[i, j, :] = coordinates of a^(i+1) * a^(j+1); shape (n, n, n)."""
-        table = np.zeros((self.n, self.n, self.n), dtype=complex)
-        table[0] = self.companion().T  # a * a^(j+1) = column j of L_a
-        return table
-
     # -- verification ------------------------------------------------------
 
     def verify_leibniz(self) -> CheckReport:
-        """Check x(yz) = (xy)z + y(xz) on all n^3 basis triples."""
-        return leibniz_check(self.multiplication_table(), self.eps)
+        """Check x(yz) = (xy)z + y(xz) on all n^3 basis triples.
+
+        The multiplication table has one nonzero slice, a's: a * a^(j+1) is
+        column j of L_a, so the slice is L_a transposed.  That is all the
+        check is given; it assumes nothing else about the algebra.
+        """
+        return leibniz_check([0], self.companion().T[None], self.eps)
 
     def cayley_hamilton_residual(self) -> float:
         """max|f(L_a)| / max(1, max|L_a^n|), zero in exact arithmetic.
@@ -208,37 +209,50 @@ class CheckReport:
                 for residual, at in zip(worst, zip(*((i + 1).tolist() for i in where)))]
 
 
-def leibniz_check(table: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:
-    """Check the Leibniz identity for an arbitrary multiplication table.
+def leibniz_check(S, TS: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:
+    """Check the Leibniz identity for a multiplication table given by its nonzero slices.
 
-    ``table[i, j, :]`` holds the coordinates of the product of basis vectors
-    i and j, so T = table has T[i] = transpose of the left multiplication
-    L_i.  The identity x(yz) = (xy)z + y(xz) says that every L_x is a
-    derivation, [L_i, L_j] = L_(e_i e_j); on the slices that reads
+    The table T has T[i, j, :] = the coordinates of the product of basis
+    vectors i and j, so T[i] is the transpose of the left multiplication
+    L_i.  S lists, in increasing order, the 0-based indices i whose slice
+    may be nonzero, and TS[r] = T[S[r]]; every other slice is zero.  The
+    identity x(yz) = (xy)z + y(xz) says that every L_x is a derivation,
+    [L_i, L_j] = L_(e_i e_j); on the slices that reads
 
         T[j] T[i] - T[i] T[j] = sum_m T[i, j, m] T[m],
 
     and row k of it is the identity on the basis triple (i, j, k), whose
     residual is that row's largest entry; the identity is trilinear, so
-    basis triples cover the whole algebra.  With S = {i : T[i] != 0}, every
-    term vanishes unless i is in S, the commutator unless j is in S, and the
-    sum runs over m in S, so each i in S costs O(|S| n^3) work and O(n^3)
-    memory; a companion table has S = {0}.  Nothing here assumes the
-    companion structure: an audit that did would assume what it checks, and
-    could not audit hand-injected tables.  (xy)z is an einsum, not a rank-|S|
-    matmul, which OpenBLAS would run on a second thread for no gain.
+    basis triples cover the whole algebra.  Every term vanishes unless i is
+    in S, the commutator unless j is in S, and the sum runs over m in S, so
+    the residuals are held for i in S only, and each i in S costs
+    O(|S| n^3) work and O(n^3) memory; a companion table has S = [0].
+    Nothing here assumes the companion structure: an audit that did would
+    assume what it checks, and could not audit hand-injected tables.  A
+    failed report's ``where`` is the worst triple (i, j, k), 1-based.
+    (xy)z is an einsum, not a rank-|S| matmul, which OpenBLAS would run on
+    a second thread for no gain.
     """
-    n = table.shape[0]
-    if table.shape != (n, n, n):
-        raise ValueError(f"table must have shape (n, n, n), got {table.shape}")
-    S = np.flatnonzero(table.any(axis=(1, 2)))
-    TS = table[S]
-    residuals = np.zeros((n, n, n))
-    for i, Ti in zip(S, TS):
-        R = np.einsum("jm,mkr->jkr", Ti[:, S], TS)  # (xy)z at (i, j, k)
-        R[S] += Ti @ TS - TS @ Ti  # y(xz) - x(yz) at (i, j in S, k)
-        residuals[i] = np.max(np.abs(R), axis=2)
-    return CheckReport.of(residuals, eps)
+    S = np.asarray(S, dtype=np.intp)
+    n = TS.shape[-1] if TS.ndim == 3 else None
+    if S.ndim != 1 or TS.shape != (len(S), n, n):
+        raise ValueError(f"slices must have shape (len(S), n, n), got {TS.shape} "
+                         f"for S of shape {S.shape}")
+    indices = S.tolist()
+    if indices != sorted(set(indices)) or not all(0 <= i < n for i in indices):
+        raise ValueError(f"slice indices must increase within 0..{n - 1}, got {indices}")
+    if not indices:
+        return CheckReport(True, 0.0)
+    residuals = np.empty((len(S), n, n))
+    for r, Ti in enumerate(TS):
+        R = np.einsum("jm,mkr->jkr", Ti[:, S], TS)  # (xy)z at (S[r], j, k)
+        R[S] += Ti @ TS - TS @ Ti  # y(xz) - x(yz) at (S[r], j in S, k)
+        residuals[r] = np.max(np.abs(R), axis=2)
+    report = CheckReport.of(residuals, eps)
+    if report.where is None:
+        return report
+    r, j, k = report.where
+    return CheckReport(False, report.residual, (indices[r - 1] + 1, j, k))
 
 
 # build(n, tail, eps): the algebra with a*a^n = sum(tail[i-2] * a^i)

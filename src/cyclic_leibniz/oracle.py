@@ -119,14 +119,16 @@ def explicit_iso_check(A: CyclicAlgebra, B: CyclicAlgebra, x, y) -> CheckReport:
     vectors.  With F the matrix of f and L_u left multiplication by u, that
     is the intertwining identity F L_u = L_(f(u)) F: the residual of (u, v)
     is the largest entry of column v of the difference.  Only u = a can
-    fail (``_map_checker`` says why), so the residuals are one row.  They
-    are measured relative to the magnitude of the compared products
-    (floored at one), so the verdict is scale-invariant: generators mapping
-    between very differently scaled laws produce intermediate values far
-    above unit size, and only the relative disagreement is meaningful.  A
-    failed report's ``where`` is the worst basis pair (1, j), 1-based.  Raises
-    NotAGeneratorError if either power basis is singular, naming x when
-    both are.
+    fail (``_map_checker`` says why), so the residuals are one row.  Each
+    pair's residual is relative to its own compared products, the largest
+    entry of column v of |F L_a| and of |F[0, 0] L_b F| (0/0 counts as 0),
+    so the verdict is scale-invariant: generators mapping between very
+    differently scaled laws give products far from unit size, and of very
+    different sizes in different pairs, so only each pair's relative
+    disagreement is meaningful.  Products that overflow give a non-finite
+    residual, which fails.  A failed report's ``where`` is the worst basis
+    pair (1, j), 1-based.  Raises NotAGeneratorError if either power basis
+    is singular, naming x when both are.
     """
     if A.n != B.n:
         raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
@@ -169,16 +171,17 @@ def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
         if PY is None:
             raise NotAGeneratorError("power basis of y is numerically dependent")
         reached = independent.index(False) if False in independent else len(independent)
-        # PY[None] is a stack of one matrix: numpy 1.x solves a 2-D b as vectors
-        F = np.linalg.solve(PX[:reached], PY[None]).swapaxes(-1, -2)  # F @ PX.T = PY.T
-        FL = F @ LA
-        LBF = LB @ F
-        f00 = np.abs(F[:, 0, 0])  # numpy's complex modulus, not Python's abs
-        # fmax, like max over Python floats, passes over a NaN
-        scale = np.fmax(np.fmax(1.0, np.max(np.abs(FL), axis=(1, 2))),
-                        f00 * np.max(np.abs(LBF), axis=(1, 2)))
-        residuals = np.max(np.abs(FL - F[:, :1, :1] * LBF), axis=1, keepdims=True)
-        reports = CheckReport.each(residuals / scale[:, None, None], eps)
+        # products that overflow give a non-finite residual, which fails
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # PY[None] is a stack of one matrix: numpy 1.x solves a 2-D b as vectors
+            F = np.linalg.solve(PX[:reached], PY[None]).swapaxes(-1, -2)  # F @ PX.T = PY.T
+            FL = F @ LA
+            FLBF = F[:, :1, :1] * (LB @ F)
+            residuals = np.max(np.abs(FL - FLBF), axis=1, keepdims=True)
+            scale = np.max(np.maximum(np.abs(FL), np.abs(FLBF)), axis=1, keepdims=True)
+            # a zero scale means two zero columns, so a zero residual: 0/0 is 0
+            relative = residuals / np.maximum(scale, np.finfo(float).smallest_subnormal)
+        reports = CheckReport.each(relative, eps)
         for i, report in enumerate(reports):
             if report.passed:
                 return reports[:i + 1]

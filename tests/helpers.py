@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from cyclic_leibniz.algebra import CheckReport
+from cyclic_leibniz.algebra import CheckReport, leibniz_check
 from cyclic_leibniz.classification import orbit, rescale
-from cyclic_leibniz.scalars import approx_eq, roots_of_unity
+from cyclic_leibniz.scalars import DEFAULT_EPS, approx_eq, roots_of_unity
 
 
 def random_tail(rng, n, mod_max=10.0):
@@ -38,18 +38,34 @@ def cayley_hamilton_reference(A):
 def map_check_reference(A, B, x, y):
     """explicit_iso_check's report, from f(e_i e_j) - f(e_i) f(e_j) one pair at a time.
 
-    f is the linear map with f(x^k) = y^k; the residuals are scaled by the
-    largest compared product, floored at one.
+    f is the linear map with f(x^k) = y^k; each pair's residual is scaled by
+    the larger of its two compared products, and 0/0 counts as 0.
     """
     F = np.linalg.solve(A.power_basis(x), B.power_basis(y)).T
     n = A.n
     basis = np.eye(n, dtype=complex)
-    images = [[F @ A.multiply(basis[i], basis[j]) for j in range(n)] for i in range(n)]
-    products = [[B.multiply(F[:, i], F[:, j]) for j in range(n)] for i in range(n)]
-    residuals = np.array([[np.max(np.abs(images[i][j] - products[i][j])) for j in range(n)]
-                          for i in range(n)])
-    scale = max(1.0, max(np.max(np.abs(v)) for row in images + products for v in row))
-    return CheckReport.of(residuals / scale, max(A.eps, B.eps))
+    residuals = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            image = F @ A.multiply(basis[i], basis[j])
+            product = B.multiply(F[:, i], F[:, j])
+            residual = np.max(np.abs(image - product))
+            if residual:
+                residuals[i, j] = residual / max(np.max(np.abs(image)), np.max(np.abs(product)))
+    return CheckReport.of(residuals, max(A.eps, B.eps))
+
+
+def multiplication_table(A):
+    """table[i, j, :] = coordinates of a^(i+1) * a^(j+1); shape (n, n, n)."""
+    table = np.zeros((A.n, A.n, A.n), dtype=complex)
+    table[0] = A.companion().T  # a * a^(j+1) = column j of L_a
+    return table
+
+
+def leibniz_check_of_table(table, eps=DEFAULT_EPS):
+    """leibniz_check on a dense (n, n, n) table, given its nonzero slices."""
+    S = np.flatnonzero(table.any(axis=(1, 2)))
+    return leibniz_check(S, table[S], eps)
 
 
 def least_member_reference(gamma, eps):

@@ -6,7 +6,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from cyclic_leibniz.algebra import CheckReport, build, leibniz_check
 from cyclic_leibniz.scalars import DEFAULT_EPS
-from helpers import cayley_hamilton_reference, random_tail, random_typed_tail
+from helpers import (
+    cayley_hamilton_reference, leibniz_check_of_table, multiplication_table, random_tail,
+    random_typed_tail,
+)
 
 
 def einsum_residuals(table):
@@ -187,9 +190,9 @@ class TestVerifyLeibniz:
         # By hand: at (a, a, a), a(aa) = a*a^2 = 0 while (aa)a + a(aa) = a,
         # residual 1; at (a^2, a, a), 0 vs 2a^2, residual 2 (the worst case).
         A = build(2, [0])
-        table = A.multiplication_table()
+        table = multiplication_table(A)
         table[1, 0] = A.generator()
-        report = leibniz_check(table)
+        report = leibniz_check_of_table(table)
         assert not report.passed
         assert report.residual == pytest.approx(2.0)
         assert report.where == (2, 1, 1)
@@ -203,8 +206,8 @@ class TestVerifyLeibniz:
         for _ in range(3):
             tail = np.array(random_tail(rng, n), dtype=complex)
             tail[rng.random(n - 1) < 0.3] = 0
-            table = build(n, tail).multiplication_table()
-            assert leibniz_check(table) == einsum_leibniz_check(table)
+            table = multiplication_table(build(n, tail))
+            assert leibniz_check_of_table(table) == einsum_leibniz_check(table)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_matches_einsum_reference_bitwise_on_integer_tables(self, n):
@@ -213,7 +216,7 @@ class TestVerifyLeibniz:
         rng = np.random.default_rng(300 + n)
         for _ in range(5):
             table = rng.integers(-3, 4, size=(n, n, n)).astype(complex)
-            assert leibniz_check(table) == einsum_leibniz_check(table)
+            assert leibniz_check_of_table(table) == einsum_leibniz_check(table)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_matches_einsum_reference_on_dense_complex_tables(self, n):
@@ -222,7 +225,7 @@ class TestVerifyLeibniz:
         for _ in range(5):
             table = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
             reference = einsum_residuals(table)
-            report = leibniz_check(table)
+            report = leibniz_check_of_table(table)
             assert report.residual == pytest.approx(reference.max(), rel=0, abs=1e-12)
             if report.where is not None:
                 i, j, k = report.where
@@ -232,7 +235,7 @@ class TestVerifyLeibniz:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_matches_einsum_reference_when_some_slices_vanish(self, n):
-        # nonzero slices on a proper subset S: the kernel reads S from the table
+        # nonzero slices on a proper subset S, which the helper reads from the table
         rng = np.random.default_rng(500 + n)
         for _ in range(6):
             S = rng.permutation(n)[: int(rng.integers(1, n))]
@@ -256,21 +259,21 @@ class TestVerifyLeibniz:
             assert i - 1 in S and j - 1 not in S
 
     def test_all_zero_table_passes_exactly(self):
-        report = leibniz_check(np.zeros((4, 4, 4), dtype=complex))
+        report = leibniz_check_of_table(np.zeros((4, 4, 4), dtype=complex))
         assert report == CheckReport(True, 0.0)
 
     @staticmethod
     def assert_matches_reference(table):
         reference = einsum_leibniz_check(table)
-        report = leibniz_check(table)
+        report = leibniz_check_of_table(table)
         assert (report.passed, report.where) == (reference.passed, reference.where)
         # the sums run in another order: agreement to rounding, relative to size
         assert report.residual == pytest.approx(reference.residual, rel=1e-12, abs=1e-12)
         return report
 
     def test_memory_is_cubic_in_dimension(self):
-        # a companion table has one nonzero slice, so no (n, n, n, n) array is
-        # needed: the peak stays within eight complex n^3 arrays
+        # a companion table has one nonzero slice, and only it is passed: the
+        # peak stays within two complex n^3 arrays, one (xy)z term and its moduli
         n = 40
         A = build(n, random_tail(np.random.default_rng(40), n))
         tracemalloc.start()
@@ -279,11 +282,30 @@ class TestVerifyLeibniz:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 16 * n**3
+        assert peak <= 2 * 16 * n**3
+
+    def test_one_wrong_entry_fails_at_dimension_200(self):
+        # with only a's slice nonzero the identity holds iff no product a * a^j
+        # has an a-coordinate; one such entry, at j = 151, breaks it
+        n = 200
+        TS = build(n, [1] * (n - 1)).companion().T[None].copy()
+        assert leibniz_check([0], TS) == CheckReport(True, 0.0)
+        TS[0, 150, 0] = 1e-6
+        report = leibniz_check([0], TS)
+        assert not report.passed
+        assert report.residual == pytest.approx(1e-6)
+        assert report.where == (1, 151, 1)
 
     def test_table_shape_checked(self):
         with pytest.raises(ValueError):
-            leibniz_check(np.zeros((2, 2)))
+            leibniz_check([0], np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            leibniz_check([0, 1], np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("S", [[2], [-1], [1, 0], [0, 0]])
+    def test_slice_indices_checked(self, S):
+        with pytest.raises(ValueError, match="^slice indices must increase within 0..1"):
+            leibniz_check(S, np.zeros((len(S), 2, 2)))
 
 
 class TestCayleyHamilton:

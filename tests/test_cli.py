@@ -203,6 +203,15 @@ class TestIso:
         assert (code, err) == (1, "")
         assert "search oracle: FAILED" in out
 
+    def test_overflowing_map_check_warns_nothing(self, tmp_path, capsys):
+        # the products the map check compares overflow: the candidate fails,
+        # and numpy's overflow and invalid-value warnings stay off stderr
+        a = write_doc(tmp_path, "a.json", 5, [1e100, 0, 1e300, 0])
+        b = write_doc(tmp_path, "b.json", 5, [1, 1e300, 0, 0])
+        code, out, err = run(capsys, "iso", a, b, "--check")
+        assert (code, err) == (1, "")
+        assert out.endswith("verdict: not isomorphic\nsearch oracle: agrees\n")
+
 
 class TestOrbit:
     def test_plus_minus_members(self, tmp_path, capsys):

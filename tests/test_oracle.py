@@ -220,6 +220,56 @@ class TestIsoBySearch:
         assert not iso_by_search(A, B)
         assert not iso_by_search(B, A)
 
+    @pytest.mark.parametrize(("n", "low"), [(16, 0.1), (24, 0.1), (32, 0.1), (24, 0.5), (32, 0.5)])
+    def test_same_type_pair_with_small_tail_products_is_false(self, n, low):
+        # type n-1 with orbit order 2: reduced entries +-1/sqrt(low) against
+        # +-1/sqrt(3), so not isomorphic.  The map's scale r = cB/s is below one, so the
+        # pair (a, a^n) has products near |r|^n, and each pair must be judged
+        # against its own products, not against the largest of all pairs
+        A = build(n, [0] * (n - 3) + [low, 1])
+        B = build(n, [0] * (n - 3) + [3, 1])
+        assert not isomorphic(A, B)
+        assert not iso_by_search(A, B)
+        assert not iso_by_search(B, A)
+
+    @pytest.mark.parametrize(("tail_a", "tail_b"), [
+        ((1e100, 0, 1e300, 0), (1, 1e300, 0, 0)),
+        ((1e100, 1e-154, 0), (1, 1e154, 0)),
+    ])
+    def test_overflowing_products_fail_without_warnings(self, tail_a, tail_b):
+        # the compared products overflow; the residual is not finite, so the
+        # candidate fails, and numpy's warnings (errors here) stay silent
+        A = build(len(tail_a) + 1, tail_a)
+        B = build(len(tail_b) + 1, tail_b)
+        assert not isomorphic(A, B)
+        assert not iso_by_search(A, B)
+        assert not iso_by_search(B, A)
+
+    def test_map_check_alone_rejects_different_type_pairs(self):
+        # the leading-index shortcut bypassed: A's candidates, scaled by A's
+        # leading tail entry, against B's generator scaled by B's
+        def passes(A, B):
+            kA, kB = oracle._leading_tail_index(A), oracle._leading_tail_index(B)
+            cA = inverse_root(A.tail[kA - 2], A.n - kA + 1)
+            y = inverse_root(B.tail[kB - 2], B.n - kB + 1) * B.generator()
+            xs = [(cA * omega) * A.generator() for omega in roots_of_unity(A.n - kA + 1)]
+            return any(r.passed for r in oracle._map_checker(A, B, y)(np.array(xs)))
+
+        rng = np.random.default_rng(1900)
+        pairs = [(build(12, [0] * 10 + [0.042758573916107115 + 0.1484776781705134j]),
+                  build(12, [0] * 9 + [0.29175604000885863 + 2.434518873682391j,
+                                       -0.026769032612109365 - 0.12068656863673177j]))]
+        for n in (8, 12, 16, 24):
+            drawn = 0
+            while drawn < 150:
+                A, B = build(n, random_typed_tail(rng, n)), build(n, random_typed_tail(rng, n))
+                if oracle._leading_tail_index(A) != oracle._leading_tail_index(B):
+                    pairs.append((A, B))
+                    drawn += 1
+        for A, B in pairs:
+            assert not passes(A, B)
+            assert not passes(B, A)
+
     def test_large_scale_generator_is_accepted(self):
         # the candidate c*a with c = 5e8 has power basis diag(c, ..., c^16):
         # independent, though its raw singular values span 130 decades
