@@ -24,10 +24,11 @@ The classification pipeline, for an algebra with tail (alpha_2, ..., alpha_n):
    representative is the orbit member that is lexicographically minimal
    under the eps-grid key of each component, the earliest root in
    ``roots_of_unity`` order winning a tie; its entries are stored snapped
-   to that grid so equal classes print and serialize identically.  The
-   minimum is found entry by entry: entry i is keyed only for the roots
-   still tied for least, which takes O(d) keys unless the orbit ties, where
-   listing every member (``orbit``) takes (d+1)*d.
+   to that grid so equal classes print and serialize identically.  One
+   lazy order (``_member_order``) serves both ``normalize`` and ``orbit``:
+   entry i of a member is keyed only while the member ties with another on
+   the entries before it, so the least member takes O(d) keys unless the
+   orbit ties, and the whole orbit about d + 1 keys, not (d+1)*d.
 
 Isomorphism is decided on the raw reduced tuples of step 2 (``reduce``):
 equal type labels, then ``equivalent`` within eps.  The snapped canonical
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .algebra import CyclicAlgebra, NotAGeneratorError, build, checked_dimension
@@ -49,6 +51,7 @@ from .scalars import (
     DEFAULT_EPS,
     approx_eq,
     canonical_key,
+    checked_tolerance,
     format_complex,
     inverse_root,
     roots_of_unity,
@@ -183,15 +186,12 @@ def orbit(gamma: GammaTuple, eps: float = DEFAULT_EPS) -> list[GammaTuple]:
     Members are deduplicated within eps (by grid key) and sorted by the
     lexicographic grid-key order, so ``orbit(g)[0]`` is the canonical
     representative of g's equivalence class.  The orbit size always divides
-    d + 1 (orbit-stabilizer for a cyclic group).
+    d + 1 (orbit-stabilizer for a cyclic group).  Each member is keyed only
+    as far as it ties with another (``_member_order``), not entry by entry
+    throughout.  eps must be a positive finite real (``checked_tolerance``).
     """
-    d = len(gamma)
-    members: dict[tuple[tuple[int, int], ...], GammaTuple] = {}
-    for omega in roots_of_unity(d + 1):
-        member = rescale(gamma, omega)
-        key = tuple(canonical_key(g, eps) for g in member)
-        members.setdefault(key, member)
-    return [members[key] for key in sorted(members)]
+    eps = checked_tolerance(eps)
+    return [rescale(gamma, omega) for omega in _member_order(gamma, eps)]
 
 
 def equivalent(g1: GammaTuple, g2: GammaTuple, eps: float = DEFAULT_EPS) -> bool:
@@ -200,7 +200,9 @@ def equivalent(g1: GammaTuple, g2: GammaTuple, eps: float = DEFAULT_EPS) -> bool
     Each root's rescaled entries are computed as ``rescale`` computes them,
     one at a time, and the root is dropped at its first entry that is not
     ``approx_eq``; a pair that fails early costs O(1) per root, not O(d).
+    eps must be a positive finite real (``checked_tolerance``).
     """
+    eps = checked_tolerance(eps)
     if len(g1) != len(g2):
         raise ValueError(f"tuple lengths differ: {len(g1)} vs {len(g2)}")
     d = len(g1)
@@ -213,36 +215,52 @@ def equivalent(g1: GammaTuple, g2: GammaTuple, eps: float = DEFAULT_EPS) -> bool
     return False
 
 
-# Past this, some rescaled entry may fall off the eps grid, and only the full
-# orbit finds out which member raises.
+# Up to this, every rescaled entry stays on the eps grid.  Past it, some member
+# may fall off, and only keying every entry of every member finds out which
+# raises first.
 _GRID_SAFE_LIMIT = sys.float_info.max / 2
 
 
-def _least_member(gamma: GammaTuple, eps: float) -> GammaTuple:
-    """``orbit(gamma, eps)[0]``, keying entry i only for the roots still tied for least.
+def _member_order(gamma: GammaTuple, eps: float) -> Iterator[complex]:
+    """The roots w of the distinct members ``rescale(gamma, w)``, in grid-key order.
 
-    A root leaves at the first entry whose grid key is above the least key
-    among the tied roots; the earliest root left after the last entry, or
-    the only one left, wins, as in ``orbit``'s first-come tie-break.  Zero
-    entries key to (0, 0) under every root, so they are skipped.  When an
-    entry's |re| + |im| over eps exceeds half the float range, a member the
-    search would never key might fall off the grid; then the whole orbit is
-    built, which raises canonical_key's ValueError exactly as it always did.
+    Entry i of a member is keyed only while the member ties with another on
+    entries 0..i-1: the tied roots are bucketed by the key of entry i, the
+    buckets are taken in key order, and only buckets of two or more roots
+    are refined.  Zero entries key to (0, 0) under every root, so they are
+    skipped.  A bucket still tied after the last entry yields its earliest
+    root in ``roots_of_unity`` order, the first-come dedup.  The first member
+    thus costs O(d) keys unless the orbit ties, and the whole orbit d + 1
+    keys unless members tie beyond their first nonzero entry.
+
+    When an entry's |re| + |im| over eps exceeds ``_GRID_SAFE_LIMIT``, every
+    entry of every member is keyed first, member by member in root order,
+    which raises canonical_key's ValueError at the first member entry off
+    the grid.  eps is taken as already checked.
     """
+    d = len(gamma)
+    roots = roots_of_unity(d + 1)
     for g in gamma:
         if not (abs(g.real) + abs(g.imag)) / eps <= _GRID_SAFE_LIMIT:
-            return orbit(gamma, eps)[0]
-    d = len(gamma)
-    tied = roots_of_unity(d + 1)
-    for i, g in enumerate(gamma):
-        if len(tied) == 1:
+            for omega in roots:
+                for entry in rescale(gamma, omega):
+                    canonical_key(entry, eps)
             break
-        if g == 0:
+    nonzero = [i for i, g in enumerate(gamma) if g != 0]
+    # (position in nonzero, tied roots in root order); an explicit stack, as
+    # d, and with it the depth of the refinement, can run into the thousands
+    stack = [(0, roots)]
+    while stack:
+        position, tied = stack.pop()
+        if len(tied) == 1 or position == len(nonzero):
+            yield tied[0]
             continue
-        keys = [canonical_key(omega ** (d - i) * g, eps) for omega in tied]
-        least = min(keys)
-        tied = [omega for omega, key in zip(tied, keys) if key == least]
-    return rescale(gamma, tied[0])
+        i = nonzero[position]
+        g = gamma[i]
+        buckets: dict[tuple[int, int], list[complex]] = {}
+        for omega in tied:
+            buckets.setdefault(canonical_key(omega ** (d - i) * g, eps), []).append(omega)
+        stack += [(position + 1, buckets[key]) for key in sorted(buckets, reverse=True)]
 
 
 def reduce(A: CyclicAlgebra) -> tuple[TypeLabel, GammaTuple]:
@@ -284,11 +302,11 @@ def normalize(A: CyclicAlgebra) -> CanonicalForm:
     Minimizing over the orbit makes the result independent of the branch
     ``reduce`` picks for the reducing generator.  The minimum is
     ``orbit(raw, eps)[0]``, bit for bit, but found without listing the
-    orbit: entry by entry over the roots still tied for least, O(d) grid
-    keys for d = n - k unless the orbit ties, against ``orbit``'s (d+1)*d.
+    orbit: it is the first root of ``_member_order``, O(d) grid keys for
+    d = n - k unless the orbit ties.
     """
     label, raw = reduce(A)
-    representative = _least_member(raw, A.eps)
+    representative = rescale(raw, next(_member_order(raw, A.eps)))
     return CanonicalForm(A.n, label, tuple(snap(g, A.eps) for g in representative))
 
 

@@ -16,8 +16,10 @@ Two caveats are deliberate and documented here once:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
+import operator
 import sys
 
 DEFAULT_EPS = 1e-9
@@ -49,10 +51,21 @@ def approx_eq(x: complex, y: complex, eps: float = DEFAULT_EPS) -> bool:
 
 
 def roots_of_unity(m: int) -> list[complex]:
-    """All m-th roots of unity e^(2*pi*i*j/m) for j = 0..m-1, in that order."""
+    """All m-th roots of unity e^(2*pi*i*j/m) for j = 0..m-1, in that order.
+
+    Each order's roots are computed once; every call returns a fresh list.
+    """
     if m < 1:
         raise ValueError(f"order must be a positive integer, got {m}")
-    return [cmath.exp(2j * math.pi * j / m) for j in range(m)]
+    # an int key for the cache: 3.0 hashes and compares equal to a cached
+    # np.int64(3), yet is no order
+    return list(_roots_of_unity(operator.index(m)))
+
+
+@functools.lru_cache(maxsize=32)
+def _roots_of_unity(m: int) -> tuple[complex, ...]:
+    """``roots_of_unity(m)`` as a tuple, for an int m >= 1."""
+    return tuple([cmath.exp(2j * math.pi * j / m) for j in range(m)])
 
 
 def inverse_root(x: complex, q: int) -> complex:

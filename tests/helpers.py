@@ -3,8 +3,8 @@
 import numpy as np
 
 from cyclic_leibniz.algebra import CheckReport, leibniz_check
-from cyclic_leibniz.classification import orbit, rescale
-from cyclic_leibniz.scalars import DEFAULT_EPS, approx_eq, roots_of_unity
+from cyclic_leibniz.classification import rescale
+from cyclic_leibniz.scalars import DEFAULT_EPS, approx_eq, canonical_key, roots_of_unity
 
 
 def random_tail(rng, n, mod_max=10.0):
@@ -68,9 +68,23 @@ def leibniz_check_of_table(table, eps=DEFAULT_EPS):
     return leibniz_check(S, table[S], eps)
 
 
+def orbit_reference(gamma, eps):
+    """``orbit`` by its definition: rescale by every root, key every entry, dedup, sort.
+
+    Members are keyed in root order, entry by entry, and the first member
+    with a given key is kept.
+    """
+    members = {}
+    for omega in roots_of_unity(len(gamma) + 1):
+        member = rescale(gamma, omega)
+        key = tuple(canonical_key(g, eps) for g in member)
+        members.setdefault(key, member)
+    return [members[key] for key in sorted(members)]
+
+
 def least_member_reference(gamma, eps):
     """The canonical orbit member by its definition: list, key and sort the whole orbit."""
-    return orbit(gamma, eps)[0]
+    return orbit_reference(gamma, eps)[0]
 
 
 def equivalent_reference(g1, g2, eps):

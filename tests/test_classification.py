@@ -10,7 +10,7 @@ from cyclic_leibniz.classification import (
     NILPOTENT,
     CanonicalForm,
     TypeLabel,
-    _least_member,
+    _member_order,
     detect_type,
     embed_law,
     equivalent,
@@ -23,9 +23,18 @@ from cyclic_leibniz.classification import (
     rescale,
 )
 from cyclic_leibniz.oracle import iso_by_search, law_by_linear_solve
-from cyclic_leibniz.scalars import approx_eq, canonical_key, roots_of_unity, snap
-from helpers import equivalent_reference, least_member_reference, random_typed_tail
+from cyclic_leibniz.scalars import DEFAULT_EPS, approx_eq, canonical_key, roots_of_unity, snap
+from helpers import (
+    equivalent_reference,
+    least_member_reference,
+    orbit_reference,
+    random_typed_tail,
+)
 
+BAD_TOLERANCES = pytest.mark.parametrize(
+    "eps", [-1e-9, 0, math.nan, math.inf, True, "1e-9"],
+    ids=["negative", "zero", "nan", "inf", "true", "str"],
+)
 RAW_KINDS = ("dense", "zeros", "all_zero", "stabilizer", "half_grid", "grid_edge")
 EXTREME_MESSAGE = "-231822198.309+62116570.8246i is out of range of the eps=1e-300 grid"
 
@@ -60,6 +69,11 @@ def raw_tuple(rng, d, kind):
         s = divisors[int(rng.integers(0, len(divisors)))]
         g = [x if (d - i) % s == 0 else 0j for i, x in enumerate(g)]
     return tuple(g), eps
+
+
+def least_member(gamma, eps):
+    """The least orbit member as ``normalize`` picks it, before snapping."""
+    return rescale(gamma, next(_member_order(gamma, eps)))
 
 
 def outcome(f, *args):
@@ -152,6 +166,12 @@ class TestOrbit:
     def test_empty_tuple(self):
         assert orbit(()) == [()]
 
+    @BAD_TOLERANCES
+    def test_tolerance_checked(self, eps):
+        # a negative eps used to flip the keys and list the largest member first
+        with pytest.raises(ValueError, match="^tolerance must be"):
+            orbit((1, 2), eps)
+
     def test_plus_minus(self):
         members = orbit((1 + 0j,))
         assert len(members) == 2
@@ -219,6 +239,12 @@ class TestEquivalent:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             equivalent((1,), (1, 2))
+
+    @BAD_TOLERANCES
+    def test_tolerance_checked(self, eps):
+        # a negative eps used to make every tuple inequivalent to itself
+        with pytest.raises(ValueError, match="^tolerance must be"):
+            equivalent((1, 2), (1, 2), eps)
 
     @pytest.mark.parametrize("kind", RAW_KINDS)
     def test_equals_full_rescale_reference(self, kind):
@@ -332,9 +358,23 @@ class TestNormalize:
         for d in range(48):
             for _ in range(4):
                 gamma, eps = raw_tuple(rng, d, kind)
-                assert outcome(_least_member, gamma, eps) == outcome(
+                assert outcome(least_member, gamma, eps) == outcome(
                     least_member_reference, gamma, eps
                 )
+                assert outcome(orbit, gamma, eps) == outcome(orbit_reference, gamma, eps)
+
+    def test_deep_ties_at_dimension_199(self):
+        # nonzero entries only at even d - i: every member ties with its
+        # negative on all 100 of them, so each of the 100 pairs is refined
+        # to the last entry
+        rng = np.random.default_rng(199)
+        d = 199
+        gamma = tuple(complex(rng.normal(), rng.normal()) if (d - i) % 2 == 0 else 0j
+                      for i in range(d))
+        members = orbit(gamma, DEFAULT_EPS)
+        assert len(members) == 100
+        assert members == orbit_reference(gamma, DEFAULT_EPS)
+        assert least_member(gamma, DEFAULT_EPS) == members[0]
 
     def test_stabilized_tuples_have_short_orbits(self):
         # the stabilizer kind above really makes orbit members tie

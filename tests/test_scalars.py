@@ -101,6 +101,31 @@ class TestRootsOfUnity:
             assert approx_eq(w**m, 1, 1e-9)
         assert approx_eq(product, (-1) ** (m + 1), 1e-9)
 
+    def test_values_are_the_formula(self):
+        for m in range(1, 65):
+            assert roots_of_unity(m) == [cmath.exp(2j * math.pi * j / m) for j in range(m)]
+
+    def test_each_call_returns_a_fresh_list(self):
+        first = roots_of_unity(5)
+        first[0] = 7j
+        first.append(0j)
+        assert roots_of_unity(5) == [cmath.exp(2j * math.pi * j / 5) for j in range(5)]
+
+    def test_checks_hold_once_an_equal_order_is_cached(self):
+        # 3.0 hashes and compares equal to 3 and to np.int64(3), but is no
+        # order; a cache keyed on the argument would hand it their roots
+        def raised(m):
+            with pytest.raises((ValueError, TypeError)) as caught:
+                roots_of_unity(m)
+            return type(caught.value), str(caught.value)
+
+        bad = [0, -1, 2.5, 3.0]
+        before = [raised(m) for m in bad]
+        roots_of_unity(3)
+        roots_of_unity(np.int64(3))
+        assert [raised(m) for m in bad] == before
+        assert [kind for kind, _ in before] == [ValueError, ValueError, TypeError, TypeError]
+
 
 class TestInverseRoot:
     def test_inverse_square_root(self):
