@@ -197,17 +197,6 @@ class CheckReport:
         where = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
         return cls(False, residual, tuple(int(i) + 1 for i in where))
 
-    @classmethod
-    def each(cls, residuals: np.ndarray, eps: float) -> list[CheckReport]:
-        """``[CheckReport.of(r, eps) for r in residuals]``, in a few numpy calls."""
-        rows = residuals.reshape(len(residuals), -1)
-        worst = np.max(rows, axis=1).tolist()
-        if all(residual <= eps for residual in worst):
-            return [cls(True, residual) for residual in worst]
-        where = np.unravel_index(np.argmax(rows, axis=1), residuals.shape[1:])
-        return [cls(True, residual) if residual <= eps else cls(False, residual, at)
-                for residual, at in zip(worst, zip(*((i + 1).tolist() for i in where)))]
-
 
 def leibniz_check(S, TS: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:
     """Check the Leibniz identity for a multiplication table given by its nonzero slices.

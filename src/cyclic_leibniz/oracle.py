@@ -5,9 +5,9 @@ re-derived here from raw products and linear algebra only:
 
 * ``law_by_linear_solve`` recovers a generator's law by expressing x*x^n in
   the power basis of x via an n-by-n linear solve (no law formula involved).
-  ``_power_bases`` is the oracle's one generator test, for one element or
-  a stack; ``_power_basis`` returns one element's basis, or None when it is
-  numerically dependent.
+  ``_power_basis`` is the oracle's one generator test: it returns the
+  power basis of one element or of a stack, and a flag per element saying
+  whether its basis is numerically independent.
 * ``explicit_iso_check`` verifies a claimed isomorphism by building the
   basis map x^i -> y^i and checking f(uv) = f(u)f(v) on all basis pairs,
   which in these algebras is the one identity F L_a = F[0, 0] L_b F; it
@@ -15,7 +15,8 @@ re-derived here from raw products and linear algebra only:
 * ``iso_by_search`` decides isomorphism by searching candidate generators,
   never touching canonical forms.  It checks them in stacks of at most
   ``_STACK_ENTRIES`` matrix entries (one candidate from n = 46 on), each
-  step one numpy call for the whole stack, with the reports of single checks.
+  step one numpy call for the whole stack; a stack answers with one report,
+  its first passing candidate's, else its last candidate's.
 * ``fuzz`` runs a seeded randomized campaign asserting that the two routes
   agree everywhere they should, and returns its counts as a ``FuzzReport``
   record that the CLI renders.
@@ -37,7 +38,8 @@ import numpy as np
 from .algebra import CheckReport, CyclicAlgebra, NotAGeneratorError, build
 from .classification import embed_law, generator_law, isomorphic
 from .scalars import (
-    DEFAULT_EPS, clipped_repr, format_complex, format_tuple, inverse_root, roots_of_unity,
+    DEFAULT_EPS, checked_tolerance, clipped_repr, format_complex, format_tuple, inverse_root,
+    roots_of_unity,
 )
 
 NEAR_BOUNDARY_FACTOR = 10.0
@@ -61,22 +63,18 @@ def law_by_linear_solve(A: CyclicAlgebra, x) -> np.ndarray | None:
     the oracle's generator test, finds the basis numerically dependent --
     no reference to the leading coordinate is made.
     """
-    powers = _power_basis(A, x, A.eps)
-    if powers is None:
+    x = A.element(x)
+    powers, independent = _power_basis(A, x, A.eps)
+    if not independent:
         return None
     return np.linalg.solve(powers.T, A.multiply(x, powers[-1]))
 
 
-def _power_basis(A: CyclicAlgebra, x, eps: float) -> np.ndarray | None:
-    """A's power basis of x (rows x, ..., x^n), or None if it is dependent."""
-    powers, independent = _power_bases(A, x, eps)
-    return powers if independent else None
+def _power_basis(A: CyclicAlgebra, x, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """A's power basis of x, one element or an (m, n) stack, and whether each is independent.
 
-
-def _power_bases(A: CyclicAlgebra, x, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """A's power bases of x, one element or an (m, n) stack, and which are independent.
-
-    This is the oracle's generator test.  Each power is divided by its
+    This is the oracle's one generator test: the flag is one boolean for an
+    element and an (m,) array for a stack.  Each power is divided by its
     2-norm first, so the test is scale-free: the power basis of c*x is that
     of x with power j times c^j.  A zero or non-finite norm (one that
     overflows included) is dependent outright; otherwise the basis is
@@ -132,21 +130,21 @@ def explicit_iso_check(A: CyclicAlgebra, B: CyclicAlgebra, x, y) -> CheckReport:
     """
     if A.n != B.n:
         raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
-    return _map_checker(A, B, y)(A.element(x)[None])[0]
+    x = A.element(x)
+    return _map_checker(A, B, B.element(y))(x[None])
 
 
 def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
     """``explicit_iso_check(A, B, x, y)`` on a stack of candidates x.
 
-    The returned check takes an (m, n) stack and gives the reports of its
-    candidates in order, up to and including the first that passes; each is
-    bit for bit the report of that candidate alone.  It raises
-    NotAGeneratorError at the first dependent candidate it reaches, so an
-    earlier pass keeps a later dependent candidate from raising, and a
-    dependent x is named before a dependent y.  y's side -- its power basis,
-    its generator test and B's companion matrix -- is built once, so a
-    search over many x pays for it once, and each step below is one numpy
-    call for the whole stack.
+    The returned check takes an (m, n) stack and gives one report: that of
+    the first candidate that passes, else that of the last, bit for bit the
+    report of that candidate alone.  It raises NotAGeneratorError at the
+    first dependent candidate it reaches, so an earlier pass keeps a later
+    dependent candidate from raising, and a dependent x is named before a
+    dependent y.  y's side -- its power basis, its generator test and B's
+    companion matrix -- is built once, so a search over many x pays for it
+    once, and each step below is one numpy call for the whole stack.
 
     In A, left multiplication by a^i is zero for i >= 2; in B, left
     multiplication by w is w_1 L_b.  So at u = a the identity reads
@@ -159,16 +157,16 @@ def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
     takes O(n^2) memory.
     """
     eps = max(A.eps, B.eps)
-    PY = _power_basis(B, y, eps)
+    PY, y_independent = _power_basis(B, y, eps)
     LA = A.companion()
     LB = B.companion()
 
-    def check(xs: np.ndarray) -> list[CheckReport]:
-        PX, independent = _power_bases(A, xs, eps)
+    def check(xs: np.ndarray) -> CheckReport:
+        PX, independent = _power_basis(A, xs, eps)
         independent = independent.tolist()
         if not independent[0]:
             raise NotAGeneratorError("power basis of x is numerically dependent")
-        if PY is None:
+        if not y_independent:
             raise NotAGeneratorError("power basis of y is numerically dependent")
         reached = independent.index(False) if False in independent else len(independent)
         # products that overflow give a non-finite residual, which fails
@@ -181,13 +179,12 @@ def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
             scale = np.max(np.maximum(np.abs(FL), np.abs(FLBF)), axis=1, keepdims=True)
             # a zero scale means two zero columns, so a zero residual: 0/0 is 0
             relative = residuals / np.maximum(scale, np.finfo(float).smallest_subnormal)
-        reports = CheckReport.each(relative, eps)
-        for i, report in enumerate(reports):
-            if report.passed:
-                return reports[:i + 1]
+        for residual in np.max(relative, axis=(1, 2)).tolist():
+            if residual <= eps:
+                return CheckReport(True, residual)  # what CheckReport.of gives
         if reached < len(independent):
             raise NotAGeneratorError("power basis of x is numerically dependent")
-        return reports
+        return CheckReport.of(relative[-1], eps)
 
     return check
 
@@ -213,8 +210,7 @@ def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
     whose side of the map check is built once.  Candidates are checked in
     order, in stacks of at most ``_STACK_ENTRIES`` matrix entries (every
     search at n <= 16 is one stack; from n = 46 on each candidate is its
-    own), and the search stops after the first stack holding one that
-    passes.
+    own), and the search stops at the first stack whose report passes.
     """
     if A.n != B.n:
         return False
@@ -230,7 +226,7 @@ def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
     check = _map_checker(A, B, cB * B.generator())
     scales = [cA * omega for omega in roots_of_unity(A.n - kA + 1)]
     size = max(1, _STACK_ENTRIES // A.n**2)
-    return any(check(np.multiply.outer(scales[i:i + size], A.generator()))[-1].passed
+    return any(check(np.multiply.outer(scales[i:i + size], A.generator())).passed
                for i in range(0, len(scales), size))
 
 
@@ -284,7 +280,14 @@ def fuzz(
     Trial t draws from its own stream, the seed's t-th spawned child, made
     when the trial starts, so the report is reproducible regardless of
     execution order and a large trial count costs nothing up front.
+    ``trials``, ``dim_max`` and ``seed`` must be Python or numpy integers,
+    not bool, and ``eps`` a tolerance; anything else raises ValueError.
     """
+    for name, value in (("trials", trials), ("dim_max", dim_max), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {clipped_repr(value)}")
+    trials, dim_max, seed = int(trials), int(dim_max), int(seed)
+    eps = checked_tolerance(eps)
     if trials < 0:
         raise ValueError("trial count must be non-negative")
     if seed < 0:

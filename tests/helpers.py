@@ -1,5 +1,7 @@
 """Shared random-sampling helpers and reference formulas for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from cyclic_leibniz.algebra import CheckReport, leibniz_check
@@ -93,3 +95,53 @@ def equivalent_reference(g1, g2, eps):
         if all(approx_eq(a, b, eps) for a, b in zip(rescale(g1, omega), g2)):
             return True
     return False
+
+
+def gaussian_product(u, v):
+    """u * v for Gaussian rationals u = (re, im) and v."""
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def gaussian_power(u, e):
+    """u**e for a Gaussian rational u = (re, im) and any integer e; u != 0 if e < 0."""
+    if e < 0:
+        modulus = u[0] ** 2 + u[1] ** 2
+        u, e = (u[0] / modulus, -u[1] / modulus), -e
+    result = (Fraction(1), Fraction(0))
+    for _ in range(e):
+        result = gaussian_product(result, u)
+    return result
+
+
+def exact_isomorphic(tail_a, tail_b):
+    """Whether Gaussian-rational tails, (re, im) pairs of Fractions, give isomorphic algebras.
+
+    Decided exactly, without roots.  A generator of A with leading
+    coordinate c has law c^(n+1-j) alpha_j, so B is isomorphic to A iff the
+    zero patterns match and some c satisfies beta_j = c^(n+1-j) alpha_j at
+    every nonzero alpha_j.  With g the gcd of those exponents e_j, Bezout's
+    integers u_j (sum u_j e_j = g) force c^g = R, the product of the
+    ratios r_j = beta_j / alpha_j to the u_j; so such a c exists iff every
+    r_j equals R^(e_j / g), and then any g-th root of R is one.
+    """
+    zero = (Fraction(0), Fraction(0))
+    if [t == zero for t in tail_a] != [t == zero for t in tail_b]:
+        return False
+    n = len(tail_a) + 1
+    ratios = [(n + 1 - j, gaussian_product(beta, gaussian_power(alpha, -1)))
+              for j, alpha, beta in zip(range(2, n + 1), tail_a, tail_b) if alpha != zero]
+    if not ratios:
+        return True  # two nilpotent algebras
+    g, coefficients = ratios[0][0], [1]
+    for e, _ in ratios[1:]:  # extended Euclid folds in one exponent at a time
+        old_r, r, old_s, s, old_t, t = g, e, 1, 0, 0, 1
+        while r:
+            q = old_r // r
+            old_r, r = r, old_r - q * r
+            old_s, s = s, old_s - q * s
+            old_t, t = t, old_t - q * t
+        g, coefficients = old_r, [u * old_s for u in coefficients] + [old_t]
+    R = (Fraction(1), Fraction(0))
+    for (_, ratio), u in zip(ratios, coefficients):
+        R = gaussian_product(R, gaussian_power(ratio, u))
+    return all(ratio == gaussian_power(R, e // g) for e, ratio in ratios)

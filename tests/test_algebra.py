@@ -343,16 +343,20 @@ class TestCayleyHamilton:
 
 
 class TestCheckReport:
-    @pytest.mark.parametrize("shape", [(1,), (1, 5), (4, 4, 4)])
-    def test_each_equals_report_of_each_row(self, shape):
-        rng = np.random.default_rng(len(shape))
-        scales = 10.0 ** rng.integers(-12, 1, size=(6,) + (1,) * len(shape))
-        residuals = rng.random((6,) + shape) * scales
-        residuals[1] = 0.0
-        residuals[2].flat[-1] = np.nan
-        residuals[3].flat[:2] = residuals[3].max()  # a tie: the first index wins
-        reports = CheckReport.each(residuals, 1e-9)
+    def test_nan_residual_fails_at_the_first_nan(self):
+        residuals = np.array([[1e-12, np.nan], [np.nan, 2e-12]])
+        report = CheckReport.of(residuals, 1e-9)
         # repr, since a NaN residual equals nothing, itself included
-        assert [repr(r) for r in reports] == [repr(CheckReport.of(r, 1e-9)) for r in residuals]
-        assert {r.passed for r in reports} == {True, False}
-        assert CheckReport.each(residuals[1:2], 1e-9) == [CheckReport(True, 0.0)]
+        assert repr(report) == repr(CheckReport(False, np.nan, (1, 2)))
+
+    def test_tie_names_the_first_index(self):
+        residuals = np.array([0.0, 0.5, 0.5, 1e-3])
+        assert CheckReport.of(residuals, 1e-9) == CheckReport(False, 0.5, (2,))
+
+    def test_all_zeros_pass(self):
+        assert CheckReport.of(np.zeros((3, 5)), 1e-9) == CheckReport(True, 0.0)
+
+    def test_three_dimensional_residuals_give_a_triple(self):
+        residuals = np.random.default_rng(4).random((4, 4, 4)) * 1e-10
+        residuals[2, 0, 3] = 1e-6
+        assert CheckReport.of(residuals, 1e-9) == CheckReport(False, 1e-6, (3, 1, 4))

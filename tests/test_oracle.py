@@ -1,7 +1,9 @@
 import ast
 import inspect
+import re
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from cyclic_leibniz.oracle import (
     near_boundary,
 )
 from cyclic_leibniz.scalars import inverse_root, roots_of_unity
-from helpers import map_check_reference, random_typed_tail
+from helpers import (
+    exact_isomorphic, gaussian_power, gaussian_product, map_check_reference, random_typed_tail,
+)
 
 
 class TestLawByLinearSolve:
@@ -54,6 +58,13 @@ class TestLawByLinearSolve:
         assert law_by_linear_solve(A, A.basis_element(2)) is None
         x = np.array([0, 1, 1, 1], dtype=complex)
         assert law_by_linear_solve(A, x) is None
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_stack_of_elements_is_rejected(self, count):
+        A = build(3, [1, 1])
+        with pytest.raises(ValueError, match=rf"^element must have 3 coordinates, "
+                                             rf"got shape \({count}, 3\)$"):
+            law_by_linear_solve(A, np.array([A.generator()] * count))
 
     def test_zero_square_is_not_a_generator(self):
         # x = a - a^2 lies outside A.A = span(a^2), yet x.x = 0 exactly: the
@@ -113,6 +124,17 @@ class TestExplicitIsoCheck:
             assert not report.passed
             assert report.where is not None
 
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_stack_of_elements_is_rejected(self, side, count):
+        # a pair check takes one x and one y; a stack is no element
+        A = build(3, [1, 1])
+        a, stack = A.generator(), np.array([A.generator()] * count)
+        x, y = (stack, a) if side == "x" else (a, stack)
+        with pytest.raises(ValueError, match=rf"^element must have 3 coordinates, "
+                                             rf"got shape \({count}, 3\)$"):
+            explicit_iso_check(A, A, x, y)
+
     def test_singular_basis_raises(self):
         A = build(3, [1, 1])
         with pytest.raises(NotAGeneratorError):
@@ -170,7 +192,7 @@ class TestExplicitIsoCheck:
                 y = rng.normal(size=n) + 1j * rng.normal(size=n)
             else:
                 y = (0.5 * 4 ** rng.random()) * np.exp(2j * np.pi * rng.random()) * B.generator()
-            if oracle._power_basis(A, x, A.eps) is None or oracle._power_basis(B, y, B.eps) is None:
+            if not (oracle._power_basis(A, x, A.eps)[1] and oracle._power_basis(B, y, B.eps)[1]):
                 continue
             F = np.linalg.solve(A.power_basis(x), B.power_basis(y)).T
             assert np.all(F[0, 1:] == 0), trial
@@ -253,7 +275,7 @@ class TestIsoBySearch:
             cA = inverse_root(A.tail[kA - 2], A.n - kA + 1)
             y = inverse_root(B.tail[kB - 2], B.n - kB + 1) * B.generator()
             xs = [(cA * omega) * A.generator() for omega in roots_of_unity(A.n - kA + 1)]
-            return any(r.passed for r in oracle._map_checker(A, B, y)(np.array(xs)))
+            return oracle._map_checker(A, B, y)(np.array(xs)).passed
 
         rng = np.random.default_rng(1900)
         pairs = [(build(12, [0] * 10 + [0.042758573916107115 + 0.1484776781705134j]),
@@ -314,8 +336,8 @@ class TestIsoBySearch:
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12, 16, 24, 32])
     def test_stacked_reports_equal_each_candidate_alone(self, n):
-        # one stack of every candidate: the reports come in candidate order,
-        # stop at the first pass, and each is that candidate's own report
+        # one stack of every candidate: its report is that of its first
+        # passing candidate, else of its last, each that candidate's own
         rng = np.random.default_rng(800 + n)
         stops = set()
         for trial in range(12):
@@ -332,21 +354,21 @@ class TestIsoBySearch:
             cA = inverse_root(A.tail[k - 2], n - k + 1)
             y = inverse_root(B.tail[k - 2], n - k + 1) * B.generator()
             candidates = [(cA * omega) * A.generator() for omega in roots_of_unity(n - k + 1)]
-            reports = oracle._map_checker(A, B, y)(np.array(candidates))
+            report = oracle._map_checker(A, B, y)(np.array(candidates))
             alone = []
             for x in candidates:
                 alone.append(explicit_iso_check(A, B, x, y))
                 if alone[-1].passed:
                     break
-            assert reports == alone
-            stops.add((len(reports), reports[-1].passed))
+            assert report == alone[-1]
+            stops.add((len(alone), report.passed))
         assert len(stops) > 1
 
     def test_stack_stops_at_its_first_pass_or_dependent_candidate(self):
         A = build(3, [1, 1])
         a, square = A.generator(), A.basis_element(2)  # a^2 generates nothing
         check = oracle._map_checker(A, A, a)
-        assert [r.passed for r in check(np.array([-a, a, square]))] == [False, True]
+        assert check(np.array([-a, a, square])) == explicit_iso_check(A, A, a, a)
         with pytest.raises(NotAGeneratorError, match="power basis of x "):
             check(np.array([-a, square, a]))
 
@@ -388,6 +410,64 @@ class TestIsoBySearch:
             else:
                 B = build(n, random_typed_tail(rng, n, nilpotent_fraction=0.1))
             assert iso_by_search(A, B) == isomorphic(A, B)
+
+
+ZERO = (Fraction(0), Fraction(0))
+# generator scales c of the exact rebuilds: +-1, +-i, 1 + i, 1/2 - i, 2 and 1/2
+EXACT_SCALES = [(Fraction(re), Fraction(im)) for re, im in
+                [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (Fraction(1, 2), -1), (2, 0),
+                 (Fraction(1, 2), 0)]]
+
+
+def exact_tail(rng, n, pattern=None):
+    """Gaussian-rational tail with entries p/q + i r/s, |p|, |r| <= 3, 1 <= q, s <= 3.
+
+    ``pattern`` says which entries are nonzero; by default it is drawn: a
+    tenth of the tails are nilpotent, the rest have a random leading index
+    and each later entry is nonzero with probability 0.7.
+    """
+    if pattern is None:
+        k = n + 1 if rng.random() < 0.1 else int(rng.integers(2, n + 1))
+        pattern = [j == k or (j > k and rng.random() > 0.3) for j in range(2, n + 1)]
+    tail = []
+    for nonzero in pattern:
+        entry = ZERO
+        while nonzero and entry == ZERO:
+            p, r = rng.integers(-3, 4, size=2).tolist()
+            q, s = rng.integers(1, 4, size=2).tolist()
+            entry = (Fraction(p, q), Fraction(r, s))
+        tail.append(entry)
+    return tail
+
+
+class TestExactGroundTruth:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_verdicts_equal_the_exact_answer(self, seed):
+        # partners: A rebuilt through an exact generator scale, an independent
+        # draw with A's zero pattern, and a draw with another zero pattern
+        rng = np.random.default_rng(2300 + seed)
+        answers = set()
+        for trial in range(1500):
+            n = int(rng.integers(2, 9))
+            tail_a = exact_tail(rng, n)
+            pattern = [t != ZERO for t in tail_a]
+            kind = trial % 3
+            if kind == 0:
+                c = EXACT_SCALES[int(rng.integers(len(EXACT_SCALES)))]
+                tail_b = [gaussian_product(gaussian_power(c, n + 1 - j), alpha)
+                          for j, alpha in enumerate(tail_a, start=2)]
+            elif kind == 1:
+                tail_b = exact_tail(rng, n, pattern)
+            else:
+                tail_b = tail_a
+                while [t != ZERO for t in tail_b] == pattern:
+                    tail_b = exact_tail(rng, n)
+            exact = exact_isomorphic(tail_a, tail_b)
+            A = build(n, [complex(re, im) for re, im in tail_a])
+            B = build(n, [complex(re, im) for re, im in tail_b])
+            assert (isomorphic(A, B), iso_by_search(A, B)) == (exact, exact), (tail_a, tail_b)
+            answers.add((kind, exact))
+        assert answers == {(0, True), (1, True), (1, False), (2, False)}
 
 
 class TestNearBoundary:
@@ -455,6 +535,22 @@ class TestFuzz:
             fuzz(10, dim_max=1)
         with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
             fuzz(10, seed=-1)
+
+    @pytest.mark.parametrize(("args", "kwargs", "message"), [
+        ((3,), {"eps": "1e-9"}, "tolerance must be a number, got '1e-9'"),
+        ((3, 5, "0"), {}, "seed must be an integer, got '0'"),
+        ((2.5,), {}, "trials must be an integer, got 2.5"),
+        ((3, 5, 1.5), {}, "seed must be an integer, got 1.5"),
+        ((3, 5.5), {}, "dim_max must be an integer, got 5.5"),
+        ((True, 5), {}, "trials must be an integer, got True"),
+        ((3, np.bool_(True)), {}, "dim_max must be an integer, got "),
+    ])
+    def test_argument_types_name_the_field(self, args, kwargs, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            fuzz(*args, **kwargs)
+
+    def test_numpy_integers_are_integers(self):
+        assert fuzz(np.int64(6), np.int32(4), np.int64(3)) == fuzz(6, 4, 3)
 
     def test_dim_max_beyond_int64_names_the_field(self):
         with pytest.raises(ValueError, match="^dim_max must be at most 2\\*\\*63 - 1, got "):
