@@ -122,29 +122,13 @@ class CyclicAlgebra:
         return x[0] * (self.companion() @ y)
 
     def power_basis(self, x: Sequence[complex]) -> np.ndarray:
-        """Rows x, x^2, ..., x^n with x^(j+1) = x * x^j.  Independence is not checked.
-
-        x may also be an (m, n) stack of elements; the result is then the
-        (m, n, n) stack of their power bases, from one run of the recurrence.
-        Each is bit for bit the power basis of its element alone: numpy runs
-        a stacked matrix-vector product as one BLAS gemv per element, the
-        call ``multiply`` makes, where one matrix product would round apart.
-        """
+        """Rows x, x^2, ..., x^n with x^(j+1) = x * x^j.  Independence is not checked."""
+        x = self.element(x)
         L = self.companion()
-        x = np.asarray(x, dtype=complex)
-        if x.ndim != 2:
-            x = self.element(x)
-            powers = np.empty((self.n, self.n), dtype=complex)
-            powers[0] = x
-            for j in range(1, self.n):
-                powers[j] = x[0] * (L @ powers[j - 1])  # the arithmetic of multiply
-            return powers
-        if x.shape[1] != self.n:
-            raise ValueError(f"elements must have {self.n} coordinates, got shape {x.shape}")
-        powers = np.empty((len(x), self.n, self.n), dtype=complex)
-        powers[:, 0] = x
+        powers = np.empty((self.n, self.n), dtype=complex)
+        powers[0] = x
         for j in range(1, self.n):
-            powers[:, j] = x[:, :1] * (L @ powers[:, j - 1, :, None])[:, :, 0]
+            powers[j] = x[0] * (L @ powers[j - 1])  # the arithmetic of multiply
         return powers
 
     # -- verification ------------------------------------------------------

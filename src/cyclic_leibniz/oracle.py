@@ -6,17 +6,19 @@ re-derived here from raw products and linear algebra only:
 * ``law_by_linear_solve`` recovers a generator's law by expressing x*x^n in
   the power basis of x via an n-by-n linear solve (no law formula involved).
   ``_power_basis`` is the oracle's one generator test: it returns the
-  power basis of one element or of a stack, and a flag per element saying
-  whether its basis is numerically independent.
+  power basis of an element and whether it is numerically independent.
 * ``explicit_iso_check`` verifies a claimed isomorphism by building the
   basis map x^i -> y^i and checking f(uv) = f(u)f(v) on all basis pairs,
   which in these algebras is the one identity F L_a = F[0, 0] L_b F; it
   returns the ``CheckReport`` that ``algebra.leibniz_check`` does.
 * ``iso_by_search`` decides isomorphism by searching candidate generators,
-  never touching canonical forms.  It checks them in stacks of at most
-  ``_STACK_ENTRIES`` matrix entries (one candidate from n = 46 on), each
-  step one numpy call for the whole stack; a stack answers with one report,
-  its first passing candidate's, else its last candidate's.
+  never touching canonical forms.  Its candidates are unit multiples
+  omega * x of one element x, so by bilinearity one generator test per
+  side and one inverse of x's power basis serve them all; it checks them
+  in stacks of at most ``_STACK_ENTRIES`` matrix entries (one candidate
+  from n = 46 on), a few batched n-by-n products per stack, and a stack
+  answers with one report, its first passing candidate's, else its last
+  candidate's.
 * ``fuzz`` runs a seeded randomized campaign asserting that the two routes
   agree everywhere they should, and returns its counts as a ``FuzzReport``
   record that the CLI renders.
@@ -70,11 +72,10 @@ def law_by_linear_solve(A: CyclicAlgebra, x) -> np.ndarray | None:
     return np.linalg.solve(powers.T, A.multiply(x, powers[-1]))
 
 
-def _power_basis(A: CyclicAlgebra, x, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """A's power basis of x, one element or an (m, n) stack, and whether each is independent.
+def _power_basis(A: CyclicAlgebra, x, eps: float) -> tuple[np.ndarray, bool]:
+    """A's power basis of the element x, and whether it is independent.
 
-    This is the oracle's one generator test: the flag is one boolean for an
-    element and an (m,) array for a stack.  Each power is divided by its
+    This is the oracle's one generator test.  Each power is divided by its
     2-norm first, so the test is scale-free: the power basis of c*x is that
     of x with power j times c^j.  A zero or non-finite norm (one that
     overflows included) is dependent outright; otherwise the basis is
@@ -85,15 +86,12 @@ def _power_basis(A: CyclicAlgebra, x, eps: float) -> tuple[np.ndarray, np.ndarra
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         powers = A.power_basis(x)
-        columns = np.swapaxes(powers, -1, -2)
-        norms = np.linalg.norm(columns, axis=-2)
-        scaled = columns / norms[..., None, :]
-        finite = True
+        columns = powers.T
+        norms = np.linalg.norm(columns, axis=0)
         if not 0 < norms.min() <= norms.max() < np.inf:  # NaN fails too
-            finite = (norms.min(axis=-1) > 0) & (norms.max(axis=-1) < np.inf)
-            scaled[~finite] = np.eye(A.n)  # dependent already; keeps the SVD finite
-        svals = np.linalg.svd(scaled, compute_uv=False)
-        return powers, finite & (svals[..., -1] > eps * svals[..., 0])
+            return powers, False
+        svals = np.linalg.svd(columns / norms, compute_uv=False)
+        return powers, bool(svals[-1] > eps * svals[0])
 
 
 def law_leading_index(lam: np.ndarray, c1: complex) -> int | None:
@@ -131,50 +129,55 @@ def explicit_iso_check(A: CyclicAlgebra, B: CyclicAlgebra, x, y) -> CheckReport:
     if A.n != B.n:
         raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
     x = A.element(x)
-    return _map_checker(A, B, B.element(y))(x[None])
+    return _map_checker(A, B, x, B.element(y))([1])
 
 
-def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
-    """``explicit_iso_check(A, B, x, y)`` on a stack of candidates x.
+def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, x, y):
+    """``explicit_iso_check(A, B, omega * x, y)`` for a stack of unit scalars omega.
 
-    The returned check takes an (m, n) stack and gives one report: that of
-    the first candidate that passes, else that of the last, bit for bit the
-    report of that candidate alone.  It raises NotAGeneratorError at the
-    first dependent candidate it reaches, so an earlier pass keeps a later
-    dependent candidate from raising, and a dependent x is named before a
-    dependent y.  y's side -- its power basis, its generator test and B's
-    companion matrix -- is built once, so a search over many x pays for it
-    once, and each step below is one numpy call for the whole stack.
+    The returned check takes a sequence of scalars of modulus one and gives
+    one report: that of the first omega whose map passes, else that of the
+    last.  It rests on bilinearity: (omega x)^j = omega^j x^j, so the power
+    basis of omega x is D PX, with PX that of x and D = diag(omega, ...,
+    omega^n) unitary.  D keeps each power's norm, and so the scaled basis
+    and its singular values: omega x is a generator iff x is.  The map of
+    omega x is F with F^T = K D^(-1) PY, K = PX^(-1).  So the generator
+    tests of x and y -- NotAGeneratorError names a dependent x before a
+    dependent y -- and the inverse K are taken once, here, and each omega
+    costs two n-by-n products: F L_a = (PY^T D^(-1)) (K^T L_a) and
+    L_b F = (L_b PY^T D^(-1)) K^T.
 
     In A, left multiplication by a^i is zero for i >= 2; in B, left
     multiplication by w is w_1 L_b.  So at u = a the identity reads
     F L_a = F[0, 0] L_b F, and at u = a^(i+1), i >= 1, it reads
     0 = F[0, i] L_b F, which holds exactly: rows 2..n of PX and PY (the
     powers x^k and y^k, k >= 2) have first coordinate exactly 0, because
-    the first row of a companion matrix is zero, so the LU solve pivots on
-    row 0 with zero multipliers and F[0, 1:] = 0.  The residuals are thus
-    one row, the column maxima of the u = a difference.  Each candidate
-    takes O(n^2) memory.
+    the first row of a companion matrix is zero, so the LU inversion pivots
+    on row 0 with zero multipliers, K[1:, 0] = 0 and F[0, 1:] = 0.  The
+    residuals are thus one row, the column maxima of the u = a difference.
+    Each omega takes O(n^2) memory.
     """
     eps = max(A.eps, B.eps)
+    PX, x_independent = _power_basis(A, x, eps)
+    if not x_independent:
+        raise NotAGeneratorError("power basis of x is numerically dependent")
     PY, y_independent = _power_basis(B, y, eps)
-    LA = A.companion()
-    LB = B.companion()
+    if not y_independent:
+        raise NotAGeneratorError("power basis of y is numerically dependent")
+    exponents = -np.arange(1, A.n + 1)
+    # an inverse or product that overflows gives a non-finite residual, which fails
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        KT = np.linalg.inv(PX).T
+        KT_LA = KT @ A.companion()
+        LB_PYT = B.companion() @ PY.T
 
-    def check(xs: np.ndarray) -> CheckReport:
-        PX, independent = _power_basis(A, xs, eps)
-        independent = independent.tolist()
-        if not independent[0]:
-            raise NotAGeneratorError("power basis of x is numerically dependent")
-        if not y_independent:
-            raise NotAGeneratorError("power basis of y is numerically dependent")
-        reached = independent.index(False) if False in independent else len(independent)
-        # products that overflow give a non-finite residual, which fails
+    def check(omegas) -> CheckReport:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # PY[None] is a stack of one matrix: numpy 1.x solves a 2-D b as vectors
-            F = np.linalg.solve(PX[:reached], PY[None]).swapaxes(-1, -2)  # F @ PX.T = PY.T
-            FL = F @ LA
-            FLBF = F[:, :1, :1] * (LB @ F)
+            D_inv = np.power(np.asarray(omegas, dtype=complex)[:, None], exponents)[:, None]
+            PYT_D = PY.T * D_inv
+            FL = PYT_D @ KT_LA
+            FLBF = ((PYT_D[:, 0] @ KT[:, 0])[:, None, None]  # F[0, 0]
+                    * ((LB_PYT * D_inv) @ KT))
             residuals = np.max(np.abs(FL - FLBF), axis=1, keepdims=True)
             scale = np.max(np.maximum(np.abs(FL), np.abs(FLBF)), axis=1, keepdims=True)
             # a zero scale means two zero columns, so a zero residual: 0/0 is 0
@@ -182,19 +185,15 @@ def _map_checker(A: CyclicAlgebra, B: CyclicAlgebra, y):
         for residual in np.max(relative, axis=(1, 2)).tolist():
             if residual <= eps:
                 return CheckReport(True, residual)  # what CheckReport.of gives
-        if reached < len(independent):
-            raise NotAGeneratorError("power basis of x is numerically dependent")
         return CheckReport.of(relative[-1], eps)
 
     return check
 
 
-# Matrix entries in the largest stack of candidates a search checks at once:
-# a stack holds _STACK_ENTRIES // n^2 of them, and at least one.  Stacking
-# saves a dozen numpy calls per candidate, which pays while each call is
-# short.  From n = 46 on a stack is one candidate: there a candidate's LAPACK
-# work (about a millisecond at n = 64) dwarfs the calls, and memory stays
-# O(n^2) per candidate.
+# Matrix entries in the largest stack of scalars omega a search checks at
+# once: a stack holds _STACK_ENTRIES // n^2 of them, and at least one, so
+# memory stays O(n^2) per candidate.  A stack shares its numpy calls, which
+# pays while each call is short; from n = 46 on a stack is one candidate.
 _STACK_ENTRIES = 4096
 
 
@@ -207,10 +206,12 @@ def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
     coefficient and omega runs over the relevant roots of unity.  That law
     has its algebra's leading tail index, so algebras whose leading indices
     differ are not isomorphic.  Every candidate maps to the one y = cB * b,
-    whose side of the map check is built once.  Candidates are checked in
-    order, in stacks of at most ``_STACK_ENTRIES`` matrix entries (every
-    search at n <= 16 is one stack; from n = 46 on each candidate is its
-    own), and the search stops at the first stack whose report passes.
+    and every candidate is a unit multiple omega of x = c1 * a, so the map
+    check runs its generator tests and inverts x's power basis once per
+    search (``_map_checker`` says why that suffices).  The scalars omega are
+    checked in order, in stacks of at most ``_STACK_ENTRIES`` matrix entries
+    (every search at n <= 16 is one stack; from n = 46 on each candidate is
+    its own), and the search stops at the first stack whose report passes.
     """
     if A.n != B.n:
         return False
@@ -223,11 +224,10 @@ def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
         return explicit_iso_check(A, B, A.generator(), B.generator()).passed
     cA = inverse_root(A.tail[kA - 2], A.n - kA + 1)
     cB = inverse_root(B.tail[kB - 2], B.n - kB + 1)
-    check = _map_checker(A, B, cB * B.generator())
-    scales = [cA * omega for omega in roots_of_unity(A.n - kA + 1)]
+    check = _map_checker(A, B, cA * A.generator(), cB * B.generator())
+    omegas = roots_of_unity(A.n - kA + 1)
     size = max(1, _STACK_ENTRIES // A.n**2)
-    return any(check(np.multiply.outer(scales[i:i + size], A.generator())).passed
-               for i in range(0, len(scales), size))
+    return any(check(omegas[i:i + size]).passed for i in range(0, len(omegas), size))
 
 
 def near_boundary(tail, eps: float = DEFAULT_EPS) -> bool:

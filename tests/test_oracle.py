@@ -274,8 +274,8 @@ class TestIsoBySearch:
             kA, kB = oracle._leading_tail_index(A), oracle._leading_tail_index(B)
             cA = inverse_root(A.tail[kA - 2], A.n - kA + 1)
             y = inverse_root(B.tail[kB - 2], B.n - kB + 1) * B.generator()
-            xs = [(cA * omega) * A.generator() for omega in roots_of_unity(A.n - kA + 1)]
-            return oracle._map_checker(A, B, y)(np.array(xs)).passed
+            check = oracle._map_checker(A, B, cA * A.generator(), y)
+            return check(roots_of_unity(A.n - kA + 1)).passed
 
         rng = np.random.default_rng(1900)
         pairs = [(build(12, [0] * 10 + [0.042758573916107115 + 0.1484776781705134j]),
@@ -336,8 +336,14 @@ class TestIsoBySearch:
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12, 16, 24, 32])
     def test_stacked_reports_equal_each_candidate_alone(self, n):
-        # one stack of every candidate: its report is that of its first
-        # passing candidate, else of its last, each that candidate's own
+        # the check derives every candidate's map from cA * a by bilinearity;
+        # its report on each scale omega alone must be the product-by-product
+        # reference's on the candidate (cA * omega) * a itself, and on a stack
+        # of every scale, that of its first passing candidate, else its last
+        def assert_matches(report, expected):
+            assert (report.passed, report.where) == (expected.passed, expected.where)
+            assert np.isclose(report.residual, expected.residual, rtol=1e-12, atol=1e-12)
+
         rng = np.random.default_rng(800 + n)
         stops = set()
         for trial in range(12):
@@ -353,24 +359,40 @@ class TestIsoBySearch:
                 B = build(n, tail)
             cA = inverse_root(A.tail[k - 2], n - k + 1)
             y = inverse_root(B.tail[k - 2], n - k + 1) * B.generator()
-            candidates = [(cA * omega) * A.generator() for omega in roots_of_unity(n - k + 1)]
-            report = oracle._map_checker(A, B, y)(np.array(candidates))
-            alone = []
-            for x in candidates:
-                alone.append(explicit_iso_check(A, B, x, y))
-                if alone[-1].passed:
-                    break
-            assert report == alone[-1]
-            stops.add((len(alone), report.passed))
-        assert len(stops) > 1
+            check = oracle._map_checker(A, B, cA * A.generator(), y)
+            omegas = roots_of_unity(n - k + 1)
+            alone = [map_check_reference(A, B, (cA * omega) * A.generator(), y)
+                     for omega in omegas]
+            for omega, expected in zip(omegas, alone):
+                assert_matches(check([omega]), expected)
+            stop = next((report for report in alone if report.passed), alone[-1])
+            assert_matches(check(omegas), stop)
+            stops.add(stop.passed)
+        assert stops == {True, False}
 
     def test_stack_stops_at_its_first_pass_or_dependent_candidate(self):
         A = build(3, [1, 1])
         a, square = A.generator(), A.basis_element(2)  # a^2 generates nothing
-        check = oracle._map_checker(A, A, a)
-        assert check(np.array([-a, a, square])) == explicit_iso_check(A, A, a, a)
-        with pytest.raises(NotAGeneratorError, match="power basis of x "):
-            check(np.array([-a, square, a]))
+        check = oracle._map_checker(A, A, a, a)
+        assert check([-1, 1, 1j]) == check([1]) == explicit_iso_check(A, A, a, a)
+        for y in (a, square):
+            with pytest.raises(NotAGeneratorError, match="power basis of x "):
+                oracle._map_checker(A, A, square, y)([1])
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_generator_test_runs_once_per_side(self, n, monkeypatch):
+        # the pair is not isomorphic, so every candidate is checked; they are
+        # unit multiples of one element, so one generator test per side serves
+        calls = []
+        power_basis = oracle._power_basis
+
+        def counted(*args):
+            calls.append(args)
+            return power_basis(*args)
+
+        monkeypatch.setattr(oracle, "_power_basis", counted)
+        assert not iso_by_search(build(n, [1] * (n - 1)), build(n, [1] + [2] * (n - 2)))
+        assert len(calls) == 2
 
     def test_search_memory_is_quadratic_in_dimension(self):
         # A and B are not isomorphic, so the search tries all 127 candidates;
