@@ -140,7 +140,7 @@ class CyclicAlgebra:
         column j of L_a, so the slice is L_a transposed.  That is all the
         check is given; it assumes nothing else about the algebra.
         """
-        return leibniz_check([0], self.companion().T[None], self.eps)
+        return _leibniz_kernel([0], self.companion().T[None], self.eps)
 
     def cayley_hamilton_residual(self) -> float:
         """max|f(L_a)| / max(1, max|L_a^n|), zero in exact arithmetic.
@@ -198,13 +198,20 @@ def leibniz_check(S, TS: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:
     residual is that row's largest entry; the identity is trilinear, so
     basis triples cover the whole algebra.  Every term vanishes unless i is
     in S, the commutator unless j is in S, and the sum runs over m in S, so
-    the residuals are held for i in S only, and each i in S costs
-    O(|S| n^3) work and O(n^3) memory; a companion table has S = [0].
-    Nothing here assumes the companion structure: an audit that did would
-    assume what it checks, and could not audit hand-injected tables.  A
-    failed report's ``where`` is the worst triple (i, j, k), 1-based.
-    (xy)z is an einsum, not a rank-|S| matmul, which OpenBLAS would run on
-    a second thread for no gain.
+    the residuals are held for i in S only.  A failed report's ``where`` is
+    the worst triple (i, j, k), 1-based.
+
+    The (xy)z term of a slice i is skipped when every coefficient
+    T[i, j, m] with m in S is exactly zero and every entry of TS is finite:
+    each of its products is then 0 times a finite number, a signed zero, so
+    the term adds nothing to any residual's bits.  Such a slice costs
+    O(|S| n^3) work and O(|S| n^2) memory; any other slice forms the term
+    as an O(|S| n^3) einsum in O(n^3) memory.  A companion table has
+    S = [0] and a zero first row, so it takes O(n^2) memory.  The rule reads
+    the table's entries, never assumes the companion structure: an audit
+    that did would assume what it checks, and could not audit hand-injected
+    tables.  (xy)z is an einsum, not a rank-|S| matmul, which OpenBLAS
+    would run on a second thread for no gain.
     """
     S = np.asarray(S, dtype=np.intp)
     n = TS.shape[-1] if TS.ndim == 3 else None
@@ -214,18 +221,30 @@ def leibniz_check(S, TS: np.ndarray, eps: float = DEFAULT_EPS) -> CheckReport:
     indices = S.tolist()
     if indices != sorted(set(indices)) or not all(0 <= i < n for i in indices):
         raise ValueError(f"slice indices must increase within 0..{n - 1}, got {indices}")
-    if not indices:
+    return _leibniz_kernel(indices, TS, eps)
+
+
+def _leibniz_kernel(S: list[int], TS: np.ndarray, eps: float) -> CheckReport:
+    """``leibniz_check`` on arguments it has validated, with S a list of ints."""
+    if not S:
         return CheckReport(True, 0.0)
-    residuals = np.empty((len(S), n, n))
+    n = TS.shape[-1]
+    finite = bool(np.isfinite(TS).all())
+    residuals = np.zeros((len(S), n, n))
     for r, Ti in enumerate(TS):
-        R = np.einsum("jm,mkr->jkr", Ti[:, S], TS)  # (xy)z at (S[r], j, k)
-        R[S] += Ti @ TS - TS @ Ti  # y(xz) - x(yz) at (S[r], j in S, k)
+        coefficients = Ti[:, S]  # T[S[r], j, m] for m in S
+        commutator = Ti @ TS - TS @ Ti  # y(xz) - x(yz) at (S[r], j in S, k)
+        if finite and not coefficients.any():  # (xy)z is a signed zero everywhere
+            residuals[r, S] = np.max(np.abs(commutator), axis=2)
+            continue
+        R = np.einsum("jm,mkr->jkr", coefficients, TS)  # (xy)z at (S[r], j, k)
+        R[S] += commutator
         residuals[r] = np.max(np.abs(R), axis=2)
     report = CheckReport.of(residuals, eps)
     if report.where is None:
         return report
     r, j, k = report.where
-    return CheckReport(False, report.residual, (indices[r - 1] + 1, j, k))
+    return CheckReport(False, report.residual, (S[r - 1] + 1, j, k))
 
 
 # build(n, tail, eps): the algebra with a*a^n = sum(tail[i-2] * a^i)

@@ -24,8 +24,12 @@ re-derived here from raw products and linear algebra only:
   record that the CLI renders.
 
 No function here but ``fuzz`` names anything the classification module
-defines (a test walks every function's code objects to keep it so);
-``fuzz`` imports it solely to compare answers.  Tail entries within
+defines, and none names a function of the ``scalars`` module but its
+tolerance rule, ``checked_tolerance``: the search derives its own roots
+and scales, so a defect in the ones classification uses shows as a
+disagreement (a test walks every function's code objects to keep it so).
+``fuzz`` imports classification solely to compare answers, and the
+scalars formatters to word its report.  Tail entries within
 NEAR_BOUNDARY_FACTOR * eps of zero sit on the type-detection boundary where
 float answers are undefined by policy; the campaign skips such draws and
 reports the count.
@@ -39,10 +43,7 @@ import numpy as np
 
 from .algebra import CheckReport, CyclicAlgebra, NotAGeneratorError, build
 from .classification import embed_law, generator_law, isomorphic
-from .scalars import (
-    DEFAULT_EPS, checked_tolerance, clipped_repr, format_complex, format_tuple, inverse_root,
-    roots_of_unity,
-)
+from .scalars import DEFAULT_EPS, checked_tolerance, clipped_repr, format_complex, format_tuple
 
 NEAR_BOUNDARY_FACTOR = 10.0
 
@@ -222,10 +223,14 @@ def iso_by_search(A: CyclicAlgebra, B: CyclicAlgebra) -> bool:
     if kA is None:
         # Two nilpotent algebras: the basis map a^i -> b^i must check out.
         return explicit_iso_check(A, B, A.generator(), B.generator()).passed
-    cA = inverse_root(A.tail[kA - 2], A.n - kA + 1)
-    cB = inverse_root(B.tail[kB - 2], B.n - kB + 1)
+    # Roots and scales are computed here, not taken from the scalars module,
+    # so a defect in the ones classification uses cannot hide in both routes.
+    # Any m-th root serves as a scale: the omegas run over the others.
+    m = A.n - kA + 1
+    cA = A.tail[kA - 2] ** (-1 / m)
+    cB = B.tail[kB - 2] ** (-1 / m)
     check = _map_checker(A, B, cA * A.generator(), cB * B.generator())
-    omegas = roots_of_unity(A.n - kA + 1)
+    omegas = np.exp(2j * np.pi * np.arange(m) / m)
     size = max(1, _STACK_ENTRIES // A.n**2)
     return any(check(omegas[i:i + size]).passed for i in range(0, len(omegas), size))
 

@@ -31,6 +31,22 @@ def einsum_leibniz_check(table, eps=DEFAULT_EPS):
     return CheckReport(False, max_residual, (int(i) + 1, int(j) + 1, int(k) + 1))
 
 
+def full_kernel_check(S, TS, eps=DEFAULT_EPS):
+    """Reference: the slice kernel with every (xy)z term formed as an einsum, none skipped."""
+    S = list(S)
+    n = TS.shape[-1]
+    residuals = np.empty((len(S), n, n))
+    for r, Ti in enumerate(TS):
+        R = np.einsum("jm,mkr->jkr", Ti[:, S], TS)
+        R[S] += Ti @ TS - TS @ Ti
+        residuals[r] = np.max(np.abs(R), axis=2)
+    report = CheckReport.of(residuals, eps)
+    if report.where is None:
+        return report
+    r, j, k = report.where
+    return CheckReport(False, report.residual, (S[r - 1] + 1, j, k))
+
+
 class TestBuild:
     def test_nilpotent_two_dim(self):
         A = build(2, [0])
@@ -274,6 +290,66 @@ class TestVerifyLeibniz:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 16 * n**3
+
+    def test_memory_is_quadratic_in_dimension_on_companion_tables(self):
+        # a companion slice has no nonzero (xy)z coefficient, so no n^3 term
+        # is formed: the peak stays within 8 complex n^2 arrays, 5.1 MB here
+        n = 200
+        tail = random_tail(np.random.default_rng(200), n)
+        tracemalloc.start()
+        try:
+            assert build(n, tail).verify_leibniz().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * n**2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 40])
+    def test_skipped_term_gives_the_full_kernel_report_on_companion_tables(self, n):
+        # tails of entry scales 1e-150 to 1e150; repr equality also requires
+        # the same residual bits and plain ints in where
+        rng = np.random.default_rng(700 + n)
+        for _ in range(5):
+            tail = 10.0 ** rng.uniform(-150, 150, n - 1) * np.exp(2j * np.pi * rng.random(n - 1))
+            tail[rng.random(n - 1) < 0.3] = 0
+            A = build(n, tail)
+            TS = A.companion().T[None]
+            expected = repr(full_kernel_check([0], TS))
+            assert repr(A.verify_leibniz()) == expected
+            assert repr(leibniz_check([0], TS)) == expected
+
+    def test_overflowing_commutator_gives_the_full_kernel_report(self):
+        A = build(3, [1e300, 1e300])
+        TS = A.companion().T[None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = A.verify_leibniz()
+            assert repr(report) == repr(full_kernel_check([0], TS))
+        assert repr(report) == repr(CheckReport(False, float("nan"), (1, 1, 3)))
+
+    def test_non_finite_entry_takes_the_full_kernel(self):
+        # slice 0's coefficients T[0, j, m], m in S, are all zero, but slice 1
+        # holds an inf in row 4: 0 * inf is NaN, so slice 0's (xy)z term is
+        # NaN at every (j, 4), and the report names (1, 1, 4), where the
+        # commutator is finite; skipping the term would name j = 2
+        rng = np.random.default_rng(800)
+        TS = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        TS[0][:, [0, 1]] = 0
+        TS[1, 3, 2] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = leibniz_check([0, 1], TS)
+            assert repr(report) == repr(full_kernel_check([0, 1], TS))
+        assert not report.passed and np.isnan(report.residual)
+        assert report.where == (1, 1, 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 40])
+    def test_one_nonzero_coefficient_takes_the_full_kernel(self, n):
+        rng = np.random.default_rng(900 + n)
+        TS = build(n, random_tail(rng, n)).companion().T[None].copy()
+        j = int(rng.integers(1, n))
+        TS[0, j, 0] = 1e-3
+        report = leibniz_check([0], TS)
+        assert repr(report) == repr(full_kernel_check([0], TS))
+        assert not report.passed
 
     def test_one_wrong_entry_fails_at_dimension_200(self):
         # with only a's slice nonzero the identity holds iff no product a * a^j

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cyclic_leibniz import classification, oracle
+from cyclic_leibniz import classification, oracle, scalars
 from cyclic_leibniz.algebra import NotAGeneratorError, build
 from cyclic_leibniz.classification import embed_law, generator_law, isomorphic
 from cyclic_leibniz.cli import main
@@ -517,6 +517,18 @@ class TestFuzz:
         assert report.failures == ()
         assert report.passed
 
+    def test_defect_in_the_classification_roots_shows_as_disagreement(self, monkeypatch):
+        # the search derives its own roots of unity, so dropping the last root
+        # of every order m >= 4 from the scalars module misleads only the
+        # canonical route, and the campaign must see the two routes disagree
+        roots = scalars._roots_of_unity
+        monkeypatch.setattr(scalars, "_roots_of_unity",
+                            lambda m: roots(m)[:-1] if m >= 4 else roots(m))
+        report = fuzz(100, dim_max=16, seed=0)
+        assert not report.passed
+        assert any(re.search(r"iso_by_search=\w+ but canonical comparison", failure)
+                   for failure in report.failures)
+
     def test_oracle_exception_is_a_recorded_failure(self):
         # at dim_max 16 the oracle's rank test rejects some genuine generators
         # and iso_by_search raises; the campaign records that, never raises
@@ -646,6 +658,19 @@ class TestOracleIndependence:
                 "_map_checker", "iso_by_search"} <= functions.keys()
         for name, function in functions.items():
             assert not _names(function.__code__) & defined, name
+
+    def test_decision_functions_name_no_scalars_function_but_the_tolerance_rule(self):
+        # a scalars function both routes called could be wrong in both alike;
+        # only fuzz, which words its report with the formatters, may use more
+        defined = {"scalars"} | {
+            node.name for node in ast.parse(inspect.getsource(scalars)).body
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert {"roots_of_unity", "_roots_of_unity", "inverse_root"} <= defined
+        shared = defined - {"checked_tolerance"}
+        for name, function in inspect.getmembers(oracle, inspect.isfunction):
+            if function.__module__ == oracle.__name__ and name != "fuzz":
+                assert not _names(function.__code__) & shared, name
 
 
 def test_map_checker_names_nothing_from_classification():
